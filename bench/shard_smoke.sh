@@ -6,7 +6,8 @@
 # (3) an insert+delete `synopsis-delta` round-trip to produce batch
 #     answers byte-identical to a from-scratch rebuild on the post-delta
 #     CSVs, and
-# (4) the sharded build to emit a "synopsis-build" provenance record.
+# (4) the sharded build to emit a "synopsis-build" provenance record, and
+# (5) a malformed CSV to exit 1 with a located error, not a crash.
 # Run from the bench build directory by the @shard-smoke alias; on a cmp
 # failure the shard-*.txt outputs are what CI uploads as the diff.
 set -eu
@@ -115,5 +116,30 @@ $CLI synopsis-build "g=shard-delta-left.csv:k,shard-delta-right.csv:k" \
 $CLI batch g --store shard-syn-fresh1.bin --queries shard-queries.txt \
   > shard-batch-fresh1.txt
 cmp shard-batch-delta2.txt shard-batch-fresh1.txt
+
+# ---- phase 3: a malformed CSV is a clean exit 1, not a crash ----
+
+{
+  echo k,attr
+  echo 1,2
+  echo 3
+} > shard-bad.csv
+
+status=0
+$CLI estimate --left shard-bad.csv --left-col k \
+  --right shard-left.csv --right-col k > /dev/null 2> shard-bad.err \
+  || status=$?
+[ "$status" -eq 1 ]
+grep -q '^error: shard-bad.csv: line 3: ' shard-bad.err
+if grep -q 'internal error' shard-bad.err; then
+  echo "malformed CSV escaped as an uncaught exception" >&2
+  exit 1
+fi
+
+status=0
+$CLI synopsis-build "g=shard-bad.csv:k,shard-right.csv:k" \
+  --store shard-syn-bad.bin > /dev/null 2> shard-bad.err || status=$?
+[ "$status" -eq 1 ]
+grep -q '^error: shard-bad.csv: line 3: ' shard-bad.err
 
 echo "shard smoke passed"

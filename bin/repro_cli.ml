@@ -27,6 +27,19 @@ let write_table directory name table =
   Csv_io.write path table;
   Printf.printf "wrote %s (%d rows)\n%!" path (Table.cardinality table)
 
+(* Every CSV the CLI reads goes through here: a malformed or unreadable
+   file is a clean exit 1 with a located message, not an uncaught
+   exception. *)
+let read_csv path =
+  match Csv_io.read_auto path with
+  | table -> table
+  | exception Failure msg ->
+      Printf.eprintf "error: %s: %s\n" path msg;
+      exit 1
+  | exception Sys_error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
+
 (* ---------------- shared arguments ---------------- *)
 
 let scale_arg =
@@ -91,7 +104,7 @@ let column_arg =
     & info [ "column" ] ~docv:"NAME" ~doc:"Column to profile.")
 
 let inspect file column =
-  let table = Csv_io.read_auto file in
+  let table = read_csv file in
   Format.printf "%a@." (Table.pp_head ~limit:5) table;
   match column with
   | None -> ()
@@ -278,7 +291,7 @@ let estimate left left_col right right_col theta approach runs exact guarded
     | Some file -> Obs.create ~sink:(Repro_obs.Trace.file file) ()
   in
   Obs.count obs "estimate.downgrades.total" 0;
-  let table_a = Csv_io.read_auto left and table_b = Csv_io.read_auto right in
+  let table_a = read_csv left and table_b = read_csv right in
   let profile = Csdl.Profile.of_tables table_a left_col table_b right_col in
   Printf.printf "|A| = %d, |B| = %d, shared join values = %d, jvd = %.6f\n"
     profile.Csdl.Profile.a.Csdl.Profile.cardinality
@@ -629,7 +642,7 @@ let synopsis_build graphs theta store seed shards jobs bench_json =
   let prov = Provenance.create () in
   List.iter
     (fun (key, lf, lc, rf, rc) ->
-      let table_a = Csv_io.read_auto lf and table_b = Csv_io.read_auto rf in
+      let table_a = read_csv lf and table_b = read_csv rf in
       let profile = Csdl.Profile.of_tables table_a lc table_b rc in
       let estimator = Csdl.Opt.prepare ~theta profile in
       (* one keyed stream per graph: rebuilding any subset of graphs with
@@ -809,7 +822,7 @@ let read_inserts what schema path_opt =
   match path_opt with
   | None -> [||]
   | Some path ->
-      let t = Csv_io.read_auto path in
+      let t = read_csv path in
       if not (Schema.equal (Table.schema t) schema) then begin
         Printf.eprintf
           "error: %s: schema of %s does not match the stored table's\n" what

@@ -160,93 +160,46 @@ let estimate ?dl_config ?(predicates = []) t synopsis =
   in
   let pass_last = compile_opt t.tables.last last_predicate in
   let sample = synopsis.sample in
-  let total_tuples = Sample.total_tuples sample in
-  if total_tuples = 0 then 0.0
-  else begin
-    let base_q = t.resolved.Budget.base_q in
-    let filtered = Value.Tbl.create (Value.Tbl.length sample.Sample.entries) in
-    let filtered_tuples = ref 0 in
-    let virtual_counts = ref [] in
-    Value.Tbl.iter
-      (fun v (entry : Sample.entry) ->
-        let count = Sample.filtered_count sample pass_last entry in
-        let sentry = Sample.sentry_passes sample pass_last entry in
-        Value.Tbl.add filtered v (count, sentry);
-        filtered_tuples := !filtered_tuples + count + (if sentry then 1 else 0);
-        if count > 0 && entry.Sample.q_v > 0.0 then begin
-          let virtual_count = float_of_int count *. base_q /. entry.Sample.q_v in
-          if virtual_count > 0.0 then
-            virtual_counts := virtual_count :: !virtual_counts
+  let last_factor =
+    Sample.last_table_factor ?dl_config t.resolved ~n0:synopsis.n0 sample
+      pass_last
+  in
+  let path_passes path =
+    let ok = ref true in
+    List.iteri
+      (fun i pass ->
+        if !ok then begin
+          let level = List.nth t.levels i in
+          if not (pass (Table.row level.link.table path.(i))) then ok := false
         end)
-      sample.Sample.entries;
-    let selectivity =
-      float_of_int !filtered_tuples /. float_of_int total_tuples
-    in
-    (* Virtual-sample population: the sentries sit outside the second-level
-       draw (see Estimate.dl_estimate) and must not be scaled by x_v. *)
-    let n0_virtual =
-      if t.spec.Spec.sentry then
-        Float.max 0.0 (synopsis.n0 -. float_of_int (Sample.sentry_count sample))
-      else synopsis.n0
-    in
-    let n0_filtered = n0_virtual *. selectivity in
-    let learned =
-      match t.spec.Spec.method_ with
-      | Spec.Discrete_learning ->
-          Some
-            (Discrete_learning.learn ?config:dl_config
-               (Array.of_list !virtual_counts))
-      | Spec.Scaling -> None
-    in
-    let sentry_spec = t.spec.Spec.sentry in
-    let path_passes path =
-      let ok = ref true in
-      List.iteri
-        (fun i pass ->
-          if !ok then begin
-            let level = List.nth t.levels i in
-            if not (pass (Table.row level.link.table path.(i))) then ok := false
-          end)
-        level_pass;
-      !ok
-    in
-    let total = ref 0.0 in
-    Value.Tbl.iter
-      (fun v complete_paths ->
-        let entry = Value.Tbl.find sample.Sample.entries v in
-        let count, sentry = Value.Tbl.find filtered v in
-        let last_factor =
-          match learned with
-          | Some learned ->
-              let x_v =
-                if count = 0 || entry.Sample.q_v <= 0.0 then 0.0
-                else
-                  Discrete_learning.probability_of_count learned
-                    (float_of_int count *. base_q /. entry.Sample.q_v)
-              in
-              (x_v *. n0_filtered)
-              +. if sentry_spec && sentry then 1.0 else 0.0
-          | None ->
-              let scaled =
-                if count = 0 then 0.0
-                else float_of_int count /. entry.Sample.q_v
-              in
-              scaled +. if sentry_spec && sentry then 1.0 else 0.0
+      level_pass;
+    !ok
+  in
+  let total = ref 0.0 in
+  Value.Tbl.iter
+    (fun v complete_paths ->
+      let last_factor = last_factor v in
+      if last_factor > 0.0 then begin
+        let witnesses =
+          List.fold_left
+            (fun acc path -> if path_passes path then acc + 1 else acc)
+            0 complete_paths
         in
-        if last_factor > 0.0 then begin
-          let witnesses =
-            List.fold_left
-              (fun acc path -> if path_passes path then acc + 1 else acc)
-              0 complete_paths
-          in
-          if witnesses > 0 then
-            total :=
-              !total
-              +. (float_of_int witnesses *. last_factor /. entry.Sample.p_v)
-        end)
-      synopsis.paths;
-    !total
-  end
+        if witnesses > 0 then
+          let entry = Value.Tbl.find sample.Sample.entries v in
+          total :=
+            !total
+            +. (float_of_int witnesses *. last_factor /. entry.Sample.p_v)
+      end)
+    synopsis.paths;
+  !total
+
+let synopsis_tuples synopsis =
+  Value.Tbl.fold
+    (fun _ paths acc ->
+      List.fold_left (fun acc path -> acc + Array.length path) acc paths)
+    synopsis.paths
+    (Sample.total_tuples synopsis.sample)
 
 let true_size ?(predicates = []) tables =
   validate tables;

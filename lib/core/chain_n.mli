@@ -3,14 +3,16 @@
 
     [T_1 (pk = fk) |><| T_2 (pk = fk) |><| ... |><| T_k]
 
-    where every join is PK-FK with the FK table on the right. As in
-    {!Chain} (the fixed 3-table version kept for the paper's Table IX),
-    the rightmost table [T_k] is sampled two-level with sentries and every
-    other table contributes at most one witness tuple per sampled path.
-    Estimation generalises Eq. 8: for each sampled join value [v] of
-    [T_k], the [(x_v N'' + I''_k(v))] factor is multiplied by the number
-    of complete witness paths [T_{k-1} -> ... -> T_1] passing their
-    predicates, and scaled by [1/p_v]. *)
+    where every join is PK-FK with the FK table on the right. At [k = 3]
+    this is the paper's Table IX chain. The rightmost table [T_k] is
+    sampled two-level with sentries and every other table contributes at
+    most one witness tuple per sampled path. Estimation is Eq. 8,
+    generalised: for each sampled join value [v] of [T_k], the
+    [(x_v N'' + I''_k(v))] factor ({!Sample.last_table_factor}) is
+    multiplied by the number of complete witness paths
+    [T_{k-1} -> ... -> T_1] passing their predicates, and scaled by
+    [1/p_v]. Scaling specs (the CS2L baseline) use [S''_k(v)/q_v] in
+    place of [x_v N'']. *)
 
 open Repro_relation
 
@@ -54,4 +56,10 @@ val estimate :
     [True]. *)
 
 val true_size : ?predicates:Predicate.t list -> tables -> int
+(** Exact chain join size (ground truth). *)
+
+val synopsis_tuples : synopsis -> int
+(** Stored tuples: the sample of [T_k] plus one per row of every stored
+    witness path. *)
+
 val spec : t -> Spec.t

@@ -33,7 +33,7 @@ let test_of = function
   | Predicate.Gt -> fun c -> c > 0
   | Predicate.Ge -> fun c -> c >= 0
 
-(* same wording as [Predicate.compile], which run_checked relies on *)
+(* same wording as [Predicate.compile], which run_checked_flat relies on *)
 let col_index schema name =
   match Schema.index_of schema name with
   | i -> i
@@ -324,25 +324,11 @@ let breakdown_with ?(obs = Obs.null) ~learn ~virtual_sample ~pred_a ~pred_b
         degenerate;
       }
 
-let run_with_breakdown_flat ?(obs = Obs.null) ?dl_config
-    ?(virtual_sample = true) ?(pred_a = Predicate.True)
-    ?(pred_b = Predicate.True) flat =
-  breakdown_with ~obs
-    ~learn:(Discrete_learning.learn ~obs ?config:dl_config)
-    ~virtual_sample ~pred_a ~pred_b flat
-
-let run_flat ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b flat =
-  (run_with_breakdown_flat ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b
-     flat)
-    .estimate
-
-let run_with_breakdown ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b
-    synopsis =
-  run_with_breakdown_flat ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b
-    (Flat.of_synopsis synopsis)
-
-let run ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b synopsis =
-  (run_with_breakdown ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b synopsis)
+let run_flat ?(obs = Obs.null) ?dl_config ?(virtual_sample = true)
+    ?(pred_a = Predicate.True) ?(pred_b = Predicate.True) flat =
+  (breakdown_with ~obs
+     ~learn:(Discrete_learning.learn ~obs ?config:dl_config)
+     ~virtual_sample ~pred_a ~pred_b flat)
     .estimate
 
 (* ---------------- checked entry points ---------------- *)
@@ -388,9 +374,3 @@ let run_checked_flat ?(obs = Obs.null) ?dl_config ?(virtual_sample = true)
                          value = breakdown.estimate;
                        })
                 else Ok breakdown))
-
-let run_checked ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b synopsis =
-  match Flat.of_synopsis synopsis with
-  | exception exn -> Error (Fault.Corrupt_synopsis (Printexc.to_string exn))
-  | flat ->
-      run_checked_flat ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b flat

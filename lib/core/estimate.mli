@@ -14,30 +14,14 @@
     Predicates here are in the {e sampler's} orientation: [pred_a] applies
     to the first-sampled table. {!Estimator} handles user orientation.
 
-    The hot path operates on a {!Synopsis_flat.t}: single linear passes
-    over columnar arrays, the predicate evaluated exactly once per sampled
-    row per query, the two sides joined by precomputed index position.
-    The [*_flat] entry points take a prebuilt flat view (build it once per
-    load, reuse per query); the [Synopsis.t]-taking functions are
-    conveniences that freeze a flat view per call and are bit-identical to
-    the flat path. *)
+    Both entry points operate on a {!Synopsis_flat.t}: single linear
+    passes over columnar arrays, the predicate evaluated exactly once per
+    sampled row per query, the two sides joined by precomputed index
+    position. Build the flat view once per load ({!Synopsis_flat.of_synopsis})
+    and reuse it per query; {!Estimator} does this for a one-off
+    [Synopsis.t]. *)
 
 open Repro_relation
-
-val run :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis.t ->
-  float
-(** Estimated join size of [sigma_a(A) |><| sigma_b(B)]; predicates default
-    to [Predicate.True]. Returns 0 when the filtered samples are empty —
-    the failure mode the paper reports as infinite q-error. A live [obs]
-    context wraps the run in an [estimate.run] span (attribute [method]),
-    counts runs ([estimate.runs{method}]) and degenerate outcomes
-    ([estimate.degenerate]), and forwards to the DL/LP metrics. *)
 
 type breakdown = {
   estimate : float;
@@ -51,42 +35,8 @@ type breakdown = {
           is empty, i.e. the estimate is "no evidence" rather than a
           measured zero — the regime the paper reports as infinite
           q-error. Callers that must act on it should prefer
-          {!run_checked}, which turns it into a typed error. *)
+          {!run_checked_flat}, which turns it into a typed error. *)
 }
-
-val run_with_breakdown :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis.t ->
-  breakdown
-(** Same as {!run}, exposing intermediate quantities for tests and
-    diagnostics. [virtual_sample] (default [true]) applies Eq. 6's
-    virtual-sample correction before discrete learning; setting it to
-    [false] feeds raw counts to the learner — the ablation showing why
-    Lemma 1 matters for different-[q_v] variants. Ignored by scaling
-    specs. *)
-
-val run_checked :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis.t ->
-  (breakdown, Fault.error) result
-(** Guarded variant of {!run_with_breakdown}: validates the synopsis
-    (finite [N'], finite positive stored rates, semijoin side referencing
-    only first-side values), reports empty filtered samples as
-    [Error (Empty_filtered_sample _)] instead of a silent [0.], surfaces
-    discrete-learning failures via {!Discrete_learning.learn_checked}, and
-    rejects a non-finite or negative final estimate as [Error (Numeric _)].
-    Any stray exception out of a structurally corrupt synopsis is caught
-    and returned as [Error (Corrupt_synopsis _)]. Never raises. *)
-
-(** {2 Flat hot path} *)
 
 val run_flat :
   ?obs:Repro_obs.Obs.ctx ->
@@ -96,18 +46,19 @@ val run_flat :
   ?pred_b:Predicate.t ->
   Synopsis_flat.t ->
   float
-(** {!run} over a prebuilt flat view — the per-query cost is the linear
-    scans only. Bit-identical to {!run}. *)
+(** Estimated join size of [sigma_a(A) |><| sigma_b(B)]; predicates default
+    to [Predicate.True]. Returns 0 when the filtered samples are empty —
+    the failure mode the paper reports as infinite q-error. The per-query
+    cost is the linear scans only.
 
-val run_with_breakdown_flat :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis_flat.t ->
-  breakdown
-(** {!run_with_breakdown} over a prebuilt flat view. *)
+    [virtual_sample] (default [true]) applies Eq. 6's virtual-sample
+    correction before discrete learning; setting it to [false] feeds raw
+    counts to the learner — the ablation showing why Lemma 1 matters for
+    different-[q_v] variants. Ignored by scaling specs.
+
+    A live [obs] context wraps the run in an [estimate.run] span (attribute
+    [method]), counts runs ([estimate.runs{method}]) and degenerate
+    outcomes ([estimate.degenerate]), and forwards to the DL/LP metrics. *)
 
 val run_checked_flat :
   ?obs:Repro_obs.Obs.ctx ->
@@ -117,6 +68,13 @@ val run_checked_flat :
   ?pred_b:Predicate.t ->
   Synopsis_flat.t ->
   (breakdown, Fault.error) result
-(** {!run_checked} over a prebuilt flat view. Structural validation is the
-    memoized {!Synopsis_flat.t.verdict} computed when the view was built —
-    once per load, not once per query. *)
+(** Guarded variant of {!run_flat}, returning the intermediate quantities.
+    Structural validation (finite [N'], finite positive stored rates,
+    semijoin side referencing only first-side values) is the memoized
+    {!Synopsis_flat.t.verdict} computed when the view was built — once per
+    load, not once per query. Empty filtered samples come back as
+    [Error (Empty_filtered_sample _)] instead of a silent [0.],
+    discrete-learning failures via {!Discrete_learning.learn_checked}, and
+    a non-finite or negative final estimate as [Error (Numeric _)]. Any
+    stray exception out of a structurally corrupt synopsis is caught and
+    returned as [Error (Corrupt_synopsis _)]. Never raises. *)

@@ -31,7 +31,8 @@ let draw ?obs t prng =
 let estimate ?obs ?dl_config ?virtual_sample ?(pred_a = Predicate.True)
     ?(pred_b = Predicate.True) t synopsis =
   let pred_a, pred_b = if t.swapped then (pred_b, pred_a) else (pred_a, pred_b) in
-  Estimate.run ?obs ?dl_config ?virtual_sample ~pred_a ~pred_b synopsis
+  Estimate.run_flat ?obs ?dl_config ?virtual_sample ~pred_a ~pred_b
+    (Synopsis_flat.of_synopsis synopsis)
 
 let estimate_once ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t prng =
   let synopsis = draw ?obs t prng in
@@ -40,7 +41,11 @@ let estimate_once ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t prng =
 let estimate_checked ?obs ?dl_config ?virtual_sample ?(pred_a = Predicate.True)
     ?(pred_b = Predicate.True) t synopsis =
   let pred_a, pred_b = if t.swapped then (pred_b, pred_a) else (pred_a, pred_b) in
-  Estimate.run_checked ?obs ?dl_config ?virtual_sample ~pred_a ~pred_b synopsis
+  match Synopsis_flat.of_synopsis synopsis with
+  | exception exn -> Error (Fault.Corrupt_synopsis (Printexc.to_string exn))
+  | flat ->
+      Estimate.run_checked_flat ?obs ?dl_config ?virtual_sample ~pred_a
+        ~pred_b flat
 
 let swapped t = t.swapped
 let spec t = t.spec

@@ -52,19 +52,6 @@ val estimate_once :
   float
 (** Convenience: {!draw} then {!estimate} in one call. *)
 
-val estimate_checked :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  t ->
-  Synopsis.t ->
-  (Estimate.breakdown, Fault.error) result
-(** {!estimate} through {!Estimate.run_checked}: predicates are mapped to
-    the sampler's orientation, and every failure mode comes back as a
-    typed error instead of a raise or a silent degenerate number. *)
-
 type guarded = {
   value : float;  (** finite, clamped to [0, |A| * |B|] *)
   rung : string;  (** the cascade rung that produced [value] *)

@@ -2,7 +2,7 @@
     estimation pipeline.
 
     The checked entry points ({!Discrete_learning.learn_checked},
-    {!Estimate.run_checked}) return [('a, Fault.error) result] instead of
+    {!Estimate.run_checked_flat}) return [('a, Fault.error) result] instead of
     raising or silently returning degenerate numbers; the guarded estimator
     ({!Estimator.estimate_guarded}) turns those errors into downgrades along
     a fallback cascade, recording each step as a {!degradation}. See

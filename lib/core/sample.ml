@@ -195,6 +195,64 @@ let sentry_passes t pass entry =
 
 let total_tuples t = t.tuple_count
 
+let last_table_factor ?dl_config (resolved : Budget.t) ~n0 t pass =
+  if t.tuple_count = 0 then fun _ -> 0.0
+  else begin
+    let base_q = resolved.Budget.base_q in
+    let filtered = Value.Tbl.create (Value.Tbl.length t.entries) in
+    let filtered_tuples = ref 0 in
+    let virtual_counts = ref [] in
+    Value.Tbl.iter
+      (fun v entry ->
+        let count = filtered_count t pass entry in
+        let sentry = sentry_passes t pass entry in
+        Value.Tbl.add filtered v (count, sentry);
+        filtered_tuples := !filtered_tuples + count + (if sentry then 1 else 0);
+        if count > 0 && entry.q_v > 0.0 then begin
+          let virtual_count = float_of_int count *. base_q /. entry.q_v in
+          if virtual_count > 0.0 then
+            virtual_counts := virtual_count :: !virtual_counts
+        end)
+      t.entries;
+    let selectivity =
+      float_of_int !filtered_tuples /. float_of_int t.tuple_count
+    in
+    let sentry_spec = resolved.Budget.spec.Spec.sentry in
+    (* Virtual-sample population: the sentries sit outside the second-level
+       draw (see Estimate.dl_estimate) and must not be scaled by x_v. *)
+    let n0_virtual =
+      if sentry_spec then Float.max 0.0 (n0 -. float_of_int t.sentries)
+      else n0
+    in
+    let n0_filtered = n0_virtual *. selectivity in
+    let learned =
+      match resolved.Budget.spec.Spec.method_ with
+      | Spec.Discrete_learning ->
+          Some
+            (Discrete_learning.learn ?config:dl_config
+               (Array.of_list !virtual_counts))
+      | Spec.Scaling -> None
+    in
+    fun v ->
+      let entry = Value.Tbl.find t.entries v in
+      let count, sentry = Value.Tbl.find filtered v in
+      let sentry_term = if sentry_spec && sentry then 1.0 else 0.0 in
+      match learned with
+      | Some learned ->
+          let x_v =
+            if count = 0 || entry.q_v <= 0.0 then 0.0
+            else
+              Discrete_learning.probability_of_count learned
+                (float_of_int count *. base_q /. entry.q_v)
+          in
+          (x_v *. n0_filtered) +. sentry_term
+      | None ->
+          let scaled =
+            if count = 0 then 0.0 else float_of_int count /. entry.q_v
+          in
+          scaled +. sentry_term
+  end
+
 (* Precomputed at construction/decode: the DL estimator reads this once
    per query (Lemma 1's virtual-sample population), so it must not cost a
    table fold on the online path. *)

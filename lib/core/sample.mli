@@ -104,6 +104,23 @@ val sentry_passes : t -> (Value.t array -> bool) -> entry -> bool
 
 val total_tuples : t -> int
 
+val last_table_factor :
+  ?dl_config:Discrete_learning.config ->
+  Budget.t ->
+  n0:float ->
+  t ->
+  (Value.t array -> bool) ->
+  Value.t ->
+  float
+(** Eq. 8's factor for the sampled (rightmost) table of a multi-table
+    join: filter the sample by the compiled predicate, build Eq. 6's
+    virtual sample, learn it ({!Discrete_learning.learn}), and return
+    [factor v = x_v N'' + I''(v)] — or [S''(v)/q_v + I''(v)] for scaling
+    specs — for any value [v] of the sample. [n0] is [N'], the sampled
+    values' full frequency in the table. Apply it to the sample and
+    predicate once per query; the returned closure only looks up. It is
+    [0] everywhere on an empty sample. *)
+
 val sentry_count : t -> int
 (** Number of entries carrying a sentry tuple, precomputed at construction
     (and at decode) so the online path never folds over the table. With the

@@ -94,13 +94,15 @@ let replay flat ~swapped s =
    Recording the build-time q-error lets the server trip only when
    accuracy *worsens* relative to it. Replay is deterministic over the
    flat synopsis, so a delta-maintained store (whose synopsis is
-   bit-identical to a fresh rebuild) records bit-identical baselines. *)
+   bit-identical to a fresh rebuild) records bit-identical baselines.
+   An infinite build-time q-error (a zero estimate) is kept as the
+   baseline: the same zero on replay is no worsening. *)
 let with_baselines flat ~swapped sentinels =
   List.map
     (fun s ->
       let baseline =
         match replay flat ~swapped s with
-        | Some q when Float.is_finite q -> Float.max 1.0 q
+        | Some q when not (Float.is_nan q) -> Float.max 1.0 q
         | _ -> 1.0
       in
       { s with baseline })

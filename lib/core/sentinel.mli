@@ -16,8 +16,9 @@ type t = {
   truth : float;  (** exact join size under those predicates *)
   baseline : float;
       (** the synopsis's q-error on this sentinel at build time
-          ([>= 1.0]); drift means the replayed q-error worsening
-          relative to this, not a large absolute q-error *)
+          ([>= 1.0], [infinity] for a zero estimate); drift means the
+          replayed q-error worsening relative to this, not a large
+          absolute q-error *)
 }
 
 val seed : Profile.t -> t list
@@ -38,8 +39,8 @@ val replay : Synopsis_flat.t -> swapped:bool -> t -> float option
     faults hard — a sentinel is advisory and never an error. *)
 
 val with_baselines : Synopsis_flat.t -> swapped:bool -> t list -> t list
-(** Record each sentinel's current q-error (clamped to [>= 1.0]; [1.0]
-    when unreplayable) as its [baseline]. Deterministic over the flat
+(** Record each sentinel's current q-error (clamped to [>= 1.0], kept
+    when infinite; [1.0] when unreplayable or NaN) as its [baseline]. Deterministic over the flat
     synopsis, so bit-identical synopses record bit-identical baselines —
     the shard smoke test's delta-vs-rebuild store byte comparison relies
     on this. *)

@@ -98,109 +98,39 @@ let estimate ?dl_config ?(pred_fact = Predicate.True) ?(pred_dims = []) t
     | anchor :: rest -> (anchor, rest)
   in
   let sample_f = synopsis.sample_f in
-  let total_tuples = Sample.total_tuples sample_f in
-  if total_tuples = 0 then 0.0
-  else begin
-    let base_q = t.resolved.Budget.base_q in
-    (* Per anchor value: filtered fact count/sentry, the survivor counts
-       (non-anchor dimensions all match), and DL virtual counts. *)
-    let stats = Value.Tbl.create (Value.Tbl.length sample_f.Sample.entries) in
-    let filtered_tuples = ref 0 in
-    let virtual_counts = ref [] in
-    let row_survives row =
-      List.for_all
-        (fun (i, groups, check) -> check groups row.(i))
-        other_checks
-    in
-    Value.Tbl.iter
-      (fun v (entry : Sample.entry) ->
-        let passing = ref 0 and surviving = ref 0 in
-        let consider row_index =
-          let row = Table.row sample_f.Sample.table row_index in
-          if pass_fact row then begin
-            incr passing;
-            if row_survives row then incr surviving
-          end
+  let factor =
+    Sample.last_table_factor ?dl_config t.resolved ~n0:synopsis.n0 sample_f
+      pass_fact
+  in
+  (* Survivors: fact tuples passing the fact predicate whose non-anchor
+     dimension partners all exist and pass. *)
+  let survives row =
+    pass_fact row
+    && List.for_all
+         (fun (i, groups, check) -> check groups row.(i))
+         other_checks
+  in
+  let tuples pass entry =
+    Sample.filtered_count sample_f pass entry
+    + if Sample.sentry_passes sample_f pass entry then 1 else 0
+  in
+  let _, anchor_groups, anchor_pass = anchor_check in
+  let total = ref 0.0 in
+  Value.Tbl.iter
+    (fun v (entry : Sample.entry) ->
+      let fact_factor = factor v in
+      (* a positive factor needs a passing fact tuple, so rho's
+         denominator is non-zero *)
+      if fact_factor > 0.0 && anchor_pass anchor_groups v then begin
+        let rho =
+          float_of_int (tuples survives entry)
+          /. float_of_int (tuples pass_fact entry)
         in
-        Array.iter consider entry.Sample.rows;
-        let sentry_passing = ref false and sentry_surviving = ref false in
-        (match entry.Sample.sentry_row with
-        | None -> ()
-        | Some row_index ->
-            let row = Table.row sample_f.Sample.table row_index in
-            if pass_fact row then begin
-              sentry_passing := true;
-              if row_survives row then sentry_surviving := true
-            end);
-        Value.Tbl.add stats v
-          (!passing, !surviving, !sentry_passing, !sentry_surviving);
-        filtered_tuples :=
-          !filtered_tuples + !passing + (if !sentry_passing then 1 else 0);
-        if !passing > 0 && entry.Sample.q_v > 0.0 then begin
-          let virtual_count =
-            float_of_int !passing *. base_q /. entry.Sample.q_v
-          in
-          if virtual_count > 0.0 then
-            virtual_counts := virtual_count :: !virtual_counts
-        end)
-      sample_f.Sample.entries;
-    let selectivity =
-      float_of_int !filtered_tuples /. float_of_int total_tuples
-    in
-    (* Virtual-sample population: the sentries sit outside the second-level
-       draw (see Estimate.dl_estimate) and must not be scaled by x_v. *)
-    let n0_virtual =
-      if t.spec.Spec.sentry then
-        Float.max 0.0
-          (synopsis.n0 -. float_of_int (Sample.sentry_count sample_f))
-      else synopsis.n0
-    in
-    let n_filtered = n0_virtual *. selectivity in
-    let learned =
-      match t.spec.Spec.method_ with
-      | Spec.Discrete_learning ->
-          Some
-            (Discrete_learning.learn ?config:dl_config
-               (Array.of_list !virtual_counts))
-      | Spec.Scaling -> None
-    in
-    let sentry_spec = t.spec.Spec.sentry in
-    let anchor_i, anchor_groups, anchor_pass = anchor_check in
-    ignore anchor_i;
-    let total = ref 0.0 in
-    Value.Tbl.iter
-      (fun v (entry : Sample.entry) ->
-        let passing, surviving, sentry_passing, sentry_surviving =
-          Value.Tbl.find stats v
-        in
-        let evidence = passing + if sentry_passing then 1 else 0 in
-        if evidence > 0 && anchor_pass anchor_groups v then begin
-          let fact_factor =
-            match learned with
-            | Some learned ->
-                let x_v =
-                  if passing = 0 || entry.Sample.q_v <= 0.0 then 0.0
-                  else
-                    Discrete_learning.probability_of_count learned
-                      (float_of_int passing *. base_q /. entry.Sample.q_v)
-                in
-                (x_v *. n_filtered)
-                +. if sentry_spec && sentry_passing then 1.0 else 0.0
-            | None ->
-                let scaled =
-                  if passing = 0 then 0.0
-                  else float_of_int passing /. entry.Sample.q_v
-                in
-                scaled +. if sentry_spec && sentry_passing then 1.0 else 0.0
-          in
-          let survivors = surviving + if sentry_surviving then 1 else 0 in
-          let rho = float_of_int survivors /. float_of_int evidence in
-          let term = fact_factor *. rho /. entry.Sample.p_v in
-          if term > 0.0 then total := !total +. term
-        end)
-      sample_f.Sample.entries;
-    !total
-  end
+        let term = fact_factor *. rho /. entry.Sample.p_v in
+        if term > 0.0 then total := !total +. term
+      end)
+    sample_f.Sample.entries;
+  !total
 
 let true_size ?(pred_fact = Predicate.True) ?(pred_dims = []) tables =
   let dim_preds = pad_predicates tables.dimensions pred_dims in

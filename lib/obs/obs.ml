@@ -132,42 +132,40 @@ let prometheus = function
   | Null -> None
   | Live l -> Some (Metrics.render_prometheus l.registry)
 
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Trace.escape_string k)
-             (Trace.escape_string v))
-         labels)
-  ^ "}"
-
 let dump_metrics ctx =
   match ctx with
   | Null | Live { sink = None; _ } -> ()
   | Live { registry; sink = Some sink; _ } ->
       List.iter
         (fun (name, labels, point) ->
-          let common =
-            Printf.sprintf "\"name\":\"%s\",\"labels\":%s"
-              (Trace.escape_string name) (json_labels labels)
+          let common kind =
+            [
+              ("type", Json.Str kind);
+              ("name", Json.Str name);
+              ( "labels",
+                Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels) );
+            ]
           in
-          let line =
+          let fields =
             match point with
             | Metrics.P_counter v ->
-                Printf.sprintf "{\"type\":\"counter\",%s,\"value\":%d}" common v
-            | Metrics.P_gauge v ->
-                Printf.sprintf "{\"type\":\"gauge\",%s,\"value\":%.17g}" common v
+                common "counter" @ [ ("value", Json.Num (float_of_int v)) ]
+            | Metrics.P_gauge v -> common "gauge" @ [ ("value", Json.number v) ]
             | Metrics.P_histogram { count; sum; buckets } ->
-                Printf.sprintf
-                  "{\"type\":\"histogram\",%s,\"count\":%d,\"sum\":%.17g,\"buckets\":[%s]}"
-                  common count sum
-                  (String.concat ","
-                     (List.map
-                        (fun (upper, c) -> Printf.sprintf "[%.17g,%d]" upper c)
-                        buckets))
+                common "histogram"
+                @ [
+                    ("count", Json.Num (float_of_int count));
+                    ("sum", Json.number sum);
+                    ( "buckets",
+                      Json.Arr
+                        (List.map
+                           (fun (upper, c) ->
+                             Json.Arr
+                               [ Json.number upper; Json.Num (float_of_int c) ])
+                           buckets) );
+                  ]
           in
-          Trace.emit_line sink line)
+          Trace.emit_line sink (Json.to_string (Json.Obj fields)))
         (Metrics.Registry.snapshot registry)
 
 let close ctx =

@@ -106,9 +106,10 @@ let meta_of_stored (s : Csdl.Synopsis_store.stored) =
    is relative: each sentinel carries the q-error the synopsis scored at
    build time, and only a q-error [drift_limit] times worse trips — a
    legitimately hard sentinel (tiny sample, selective filter) never
-   warns on a fresh store. Unparseable sentinels are skipped (a sentinel
-   can never take the server down); an estimator fault on a sentinel
-   likewise. *)
+   warns on a fresh store. A replay no worse than its baseline scores
+   1.0, so an infinite baseline replayed as infinite is no worsening.
+   Unparseable sentinels are skipped (a sentinel can never take the
+   server down); an estimator fault on a sentinel likewise. *)
 let replay_sentinels t entries =
   let limit = t.config.drift_limit in
   let drifts =
@@ -122,7 +123,10 @@ let replay_sentinels t entries =
             | Some q ->
                 incr replayed;
                 if q > !worst then worst := q;
-                let w = q /. Float.max 1.0 sen.Csdl.Sentinel.baseline in
+                let baseline = sen.Csdl.Sentinel.baseline in
+                let w =
+                  if q <= baseline then 1.0 else q /. Float.max 1.0 baseline
+                in
                 if w > !worsened then worsened := w;
                 Repro_obs.Rolling.Histogram.observe t.sentinel_window q)
           s.sentinels;

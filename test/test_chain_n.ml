@@ -117,22 +117,17 @@ let test_true_size_with_predicates () =
     (Csdl.Chain_n.true_size ~predicates t)
 
 let test_true_size_matches_chain3 () =
-  (* a 3-table Chain_n must agree with the dedicated Chain module *)
+  (* at k = 3, Chain_n's truth must agree with the exact oracle *)
   let t3 = mk_chain ~sizes:[| 30; 90; 400 |] ~seed:9 in
   let links = Array.of_list t3.Csdl.Chain_n.links in
-  let as_chain3 =
-    {
-      Csdl.Chain.a = links.(0).Csdl.Chain_n.table;
-      a_pk = "pk";
-      b = links.(1).Csdl.Chain_n.table;
-      b_pk = "pk";
-      b_fk = "fk";
-      c = t3.Csdl.Chain_n.last;
-      c_fk = "fk";
-    }
+  let expected =
+    Join.chain3_count
+      ~a:(Join.unfiltered links.(0).Csdl.Chain_n.table "pk")
+      ~b:(Join.unfiltered links.(1).Csdl.Chain_n.table "pk")
+      ~b_fk:"fk"
+      ~c:(Join.unfiltered t3.Csdl.Chain_n.last "fk")
   in
-  Alcotest.(check int) "agree" (Csdl.Chain.true_size as_chain3)
-    (Csdl.Chain_n.true_size t3)
+  Alcotest.(check int) "agree" expected (Csdl.Chain_n.true_size t3)
 
 let test_scaling_exact_at_theta_one () =
   let t = Lazy.force chain4 in
@@ -209,7 +204,7 @@ let () =
           Alcotest.test_case "true size vs brute force" `Quick
             test_true_size_matches_brute_force;
           Alcotest.test_case "filtered true size" `Quick test_true_size_with_predicates;
-          Alcotest.test_case "agrees with Chain" `Quick test_true_size_matches_chain3;
+          Alcotest.test_case "agrees with chain3_count" `Quick test_true_size_matches_chain3;
           Alcotest.test_case "scaling exact" `Quick test_scaling_exact_at_theta_one;
           Alcotest.test_case "scaling exact filtered" `Quick
             test_scaling_exact_filtered_at_theta_one;

@@ -271,7 +271,12 @@ let test_breakdown_fields () =
       ~theta:0.5 profile
   in
   let synopsis = Csdl.Estimator.draw est (Prng.create 9) in
-  let b = Csdl.Estimate.run_with_breakdown synopsis in
+  let flat = Csdl.Synopsis_flat.of_synopsis synopsis in
+  let b =
+    match Csdl.Estimate.run_checked_flat flat with
+    | Ok b -> b
+    | Error e -> Alcotest.failf "unexpected %s" (Csdl.Fault.error_to_string e)
+  in
   Alcotest.(check bool) "selectivity in [0,1]" true
     (b.Csdl.Estimate.selectivity_a >= 0.0 && b.Csdl.Estimate.selectivity_a <= 1.0);
   Alcotest.(check (float 1e-9)) "unfiltered selectivity is 1" 1.0
@@ -279,7 +284,7 @@ let test_breakdown_fields () =
   Alcotest.(check bool) "contributing values positive" true
     (b.Csdl.Estimate.contributing_values > 0);
   Alcotest.(check bool) "estimate matches run" true
-    (Csdl.Estimate.run synopsis = b.Csdl.Estimate.estimate)
+    (Csdl.Estimate.run_flat flat = b.Csdl.Estimate.estimate)
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate stored rates                                             *)
@@ -316,11 +321,12 @@ let test_zero_qv_is_guarded () =
           sample_b = poison_qv synopsis.Csdl.Synopsis.sample_b;
         }
       in
-      let unchecked = Csdl.Estimate.run poisoned in
+      let flat = Csdl.Synopsis_flat.of_synopsis poisoned in
+      let unchecked = Csdl.Estimate.run_flat flat in
       Alcotest.(check bool)
         "unchecked estimate stays finite" true
         (Float.is_finite unchecked);
-      match Csdl.Estimate.run_checked poisoned with
+      match Csdl.Estimate.run_checked_flat flat with
       | Error (Csdl.Fault.Numeric { what; _ }) ->
           Alcotest.(check bool)
             "fault names the q_v rate" true

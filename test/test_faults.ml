@@ -189,7 +189,8 @@ let test_checked_zero_row_tables () =
   List.iter
     (fun pair ->
       let profile = profile_of pair in
-      (match Csdl.Estimate.run_checked (draw_synopsis profile 1) with
+      (match Csdl.Estimate.run_checked_flat
+         (Csdl.Synopsis_flat.of_synopsis (draw_synopsis profile 1)) with
       | Error (Fault.Empty_filtered_sample _) -> ()
       | Error f ->
           Alcotest.failf "expected Empty_filtered_sample, got %s"
@@ -202,7 +203,8 @@ let test_checked_zero_row_tables () =
 let test_checked_all_null_join_columns () =
   let profile = profile_of (nulls_only, dense) in
   Alcotest.(check int) "truth 0" 0 (Csdl.Profile.true_join_size profile);
-  (match Csdl.Estimate.run_checked (draw_synopsis profile 3) with
+  (match Csdl.Estimate.run_checked_flat
+         (Csdl.Synopsis_flat.of_synopsis (draw_synopsis profile 3)) with
   | Error (Fault.Empty_filtered_sample _) -> ()
   | Error f ->
       Alcotest.failf "expected Empty_filtered_sample, got %s"

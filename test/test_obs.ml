@@ -412,6 +412,37 @@ let test_close_idempotent_file () =
         "file carries exactly one metrics dump" 1
         (count_metric_lines !lines))
 
+(* A non-finite metric (a zero-estimate sentinel's q-error is inf) must
+   still dump as valid JSON, so the trace reader counts it instead of
+   skipping the line. *)
+let test_infinite_metrics_round_trip () =
+  let sink = Trace.memory () in
+  let obs = Obs.create ~sink () in
+  Obs.set_gauge obs "sentinel.qerror" Float.infinity;
+  Obs.observe obs "sentinel.qerror.hist" Float.infinity;
+  Obs.close obs;
+  let lines = Trace.lines sink in
+  let reading = Repro_obs.Report.of_lines lines in
+  Alcotest.(check int) "no skipped lines" 0
+    (List.length reading.Repro_obs.Report.skipped);
+  Alcotest.(check int) "both metrics read" 2
+    reading.Repro_obs.Report.metric_lines;
+  let gauge =
+    List.find_map
+      (fun line ->
+        match Repro_obs.Json.parse line with
+        | Ok v
+          when Option.bind (Repro_obs.Json.member "type" v)
+                 Repro_obs.Json.to_str
+               = Some "gauge" ->
+            Option.bind (Repro_obs.Json.member "value" v)
+              Repro_obs.Json.to_float
+        | _ -> None)
+      lines
+  in
+  Alcotest.(check (option (float 0.0))) "gauge reads back as inf"
+    (Some Float.infinity) gauge
+
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i =
@@ -698,6 +729,8 @@ let () =
             test_close_idempotent_memory;
           Alcotest.test_case "idempotent on file sink" `Quick
             test_close_idempotent_file;
+          Alcotest.test_case "infinite metrics round-trip" `Quick
+            test_infinite_metrics_round_trip;
         ] );
       ( "rolling",
         [

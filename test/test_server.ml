@@ -717,6 +717,65 @@ let test_engine_drift_sentinels () =
               (fun d -> d.Engine.d_fault <> None)
               (Engine.drift_status engine))))
 
+(* A sentinel the synopsis answers with zero (infinite q-error) at build
+   time keeps that infinity as its baseline, so replaying the same zero
+   on a fresh store is no worsening; a sentinel that goes from a finite
+   q-error to infinity still trips. Zeroing the recorded truths makes
+   every replay infinite. *)
+let test_engine_drift_infinite_baseline () =
+  with_store (fun _ path ->
+      let entries =
+        match Csdl.Synopsis_store.read ~resolve_table ~path with
+        | Ok entries -> entries
+        | Error f -> Alcotest.failf "read: %s" (Csdl.Fault.error_to_string f)
+      in
+      let zero_truths ~rebaseline (e : Csdl.Synopsis_store.stored) =
+        let sentinels =
+          List.map
+            (fun (s : Csdl.Sentinel.t) -> { s with truth = 0.0 })
+            e.sentinels
+        in
+        let sentinels =
+          if rebaseline then
+            Csdl.Sentinel.with_baselines
+              (Csdl.Synopsis_flat.of_synopsis e.synopsis)
+              ~swapped:e.swapped sentinels
+          else sentinels
+        in
+        { e with sentinels }
+      in
+      let tripped ~rebaseline =
+        Csdl.Synopsis_store.write ~path
+          (List.map (zero_truths ~rebaseline) entries);
+        let obs = Obs.create () in
+        let engine = engine_exn ~obs Engine.default_config path in
+        let registry = Option.get (Obs.registry obs) in
+        ( Engine.drift_status engine,
+          Metrics.Counter.value
+            (Metrics.Registry.counter registry "server.drift.tripped") )
+      in
+      (* built that way: the baselines are infinite and nothing trips *)
+      let status, trips = tripped ~rebaseline:true in
+      Alcotest.(check int) "fresh store: no drift trips" 0 trips;
+      List.iter
+        (fun d ->
+          Alcotest.(check bool)
+            (d.Engine.d_key ^ " replays an infinite q-error") true
+            (d.Engine.d_qerror = Float.infinity);
+          Alcotest.(check (float 0.0))
+            (d.Engine.d_key ^ " no worsening") 1.0 d.Engine.d_worsened;
+          Alcotest.(check bool)
+            (d.Engine.d_key ^ " no fault") true (d.Engine.d_fault = None))
+        status;
+      (* the same zeros against the finite build-time baselines: drift *)
+      let status, trips = tripped ~rebaseline:false in
+      Alcotest.(check int) "finite -> inf trips both keys" 2 trips;
+      List.iter
+        (fun d ->
+          Alcotest.(check bool)
+            (d.Engine.d_key ^ " drift fault") true (d.Engine.d_fault <> None))
+        status)
+
 (* ---------------- server + client over a real socket ---------------- *)
 
 let test_server_socket_roundtrip () =
@@ -921,6 +980,8 @@ let () =
             test_engine_chaos_is_deterministic;
           Alcotest.test_case "drift sentinels trip deterministically" `Quick
             test_engine_drift_sentinels;
+          Alcotest.test_case "infinite baseline does not trip" `Quick
+            test_engine_drift_infinite_baseline;
         ] );
       ( "socket",
         [

@@ -153,7 +153,7 @@ let test_roundtrip_bit_identical_all_variants () =
    per value, the predicate re-evaluated through [Sample.filtered_count].
    Values are visited in the canonical [Shard_key] order — the one order
    every float accumulation uses since the sharded-synopsis refactor. The
-   production path ([Estimate.run], a linear pass over Synopsis_flat
+   production path ([Estimate.run_flat], a linear pass over Synopsis_flat
    columns since the columnar refactor) must agree bit for bit — same
    scan order, same float accumulation order, same zero-count guards. *)
 let legacy_reference_estimate ~pred_a ~pred_b (synopsis : Csdl.Synopsis.t) =
@@ -273,9 +273,10 @@ let test_flat_matches_legacy_reference () =
           let profile = Csdl.Profile.of_tables (table "a") "k" (table "b") "k" in
           let estimator = prepare ~theta profile in
           let synopsis = Csdl.Estimator.draw estimator (Prng.create 42) in
+          let view = Csdl.Synopsis_flat.of_synopsis synopsis in
           List.iter
             (fun (pred_a, pred_b) ->
-              let flat = Csdl.Estimate.run ~pred_a ~pred_b synopsis in
+              let flat = Csdl.Estimate.run_flat ~pred_a ~pred_b view in
               let reference =
                 legacy_reference_estimate ~pred_a ~pred_b synopsis
               in
