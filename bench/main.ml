@@ -334,8 +334,9 @@ let () =
       else Timing.print summaries)
     two_table_results;
   if not options.skip_ablations then begin
-    timed "related-work comparison" (fun () -> Baseline_table.run config data)
-    |> Baseline_table.print;
+    timed "related-work comparison" (fun () ->
+        Bakeoff.run ~thetas:[ 0.01 ] config data)
+    |> Bakeoff.print;
     timed "star joins" (fun () -> Star_bench.run config) |> Star_bench.print;
     timed "4-table chains" (fun () -> Chain4_bench.run config)
     |> Chain4_bench.print;

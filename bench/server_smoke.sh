@@ -3,8 +3,9 @@
 # generated CSVs, serve it on a fixed port, and require (1) the client's
 # query-file mode to be byte-identical to `repro_cli batch` over the same
 # store, (2) the protocol verbs to answer, (3) SIGTERM to exit 0 after
-# "shutdown complete", and (4) a brief --chaos run to inject faults and
-# still serve every query without crashing. Run from the bench build
+# "shutdown complete", (4) a brief --chaos run to inject faults and
+# still serve every query without crashing, and (5) a client with no
+# daemon listening to exit 1 with a clean error. Run from the bench build
 # directory by the @server-smoke alias.
 set -eu
 
@@ -124,3 +125,16 @@ kill -TERM $SRV
 wait $SRV
 grep -q 'shutdown complete' srv-chaos.log
 echo "chaos mode: faults injected, every query answered, SIGTERM exited 0"
+
+# ---- phase 3: no daemon listening is a clean exit 1, not a crash ----
+
+status=0
+../bin/repro_cli.exe client --port $PORT --verb health \
+  > /dev/null 2> srv-closed.err || status=$?
+[ "$status" -eq 1 ]
+grep -q "^error: cannot connect to 127.0.0.1:$PORT: " srv-closed.err
+if grep -q 'internal error' srv-closed.err; then
+  echo "a refused connection escaped as an uncaught exception" >&2
+  exit 1
+fi
+echo "closed port: client exited 1 with a clean error"

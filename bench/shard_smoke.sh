@@ -7,7 +7,8 @@
 #     answers byte-identical to a from-scratch rebuild on the post-delta
 #     CSVs, and
 # (4) the sharded build to emit a "synopsis-build" provenance record, and
-# (5) a malformed CSV to exit 1 with a located error, not a crash.
+# (5) bad input — a malformed CSV, a CSV a built store records going bad,
+#     an out-of-range flag — to exit 1 with a clean error, not a crash.
 # Run from the bench build directory by the @shard-smoke alias; on a cmp
 # failure the shard-*.txt outputs are what CI uploads as the diff.
 set -eu
@@ -117,7 +118,19 @@ $CLI batch g --store shard-syn-fresh1.bin --queries shard-queries.txt \
   > shard-batch-fresh1.txt
 cmp shard-batch-delta2.txt shard-batch-fresh1.txt
 
-# ---- phase 3: a malformed CSV is a clean exit 1, not a crash ----
+# ---- phase 3: bad input is a clean exit 1, not a crash ----
+
+# run CMD...: require exit 1, an "error: " line and no uncaught exception
+expect_clean_exit() {
+  status=0
+  "$@" > /dev/null 2> shard-bad.err || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q '^error: ' shard-bad.err \
+      || grep -q 'internal error' shard-bad.err; then
+    echo "not a clean exit 1 (status $status): $*" >&2
+    cat shard-bad.err >&2
+    exit 1
+  fi
+}
 
 {
   echo k,attr
@@ -141,5 +154,26 @@ $CLI synopsis-build "g=shard-bad.csv:k,shard-right.csv:k" \
   --store shard-syn-bad.bin > /dev/null 2> shard-bad.err || status=$?
 [ "$status" -eq 1 ]
 grep -q '^error: shard-bad.csv: line 3: ' shard-bad.err
+
+# a store loads its tables back from the CSV paths it recorded; when one
+# of them goes bad, the store loaders must say which store failed
+cp shard-left.csv shard-rot.csv
+$CLI synopsis-build "g=shard-rot.csv:k,shard-right.csv:k" \
+  --theta 0.5 --seed 11 --store shard-syn-rot.bin > /dev/null 2>&1
+echo 3 >> shard-rot.csv
+expect_clean_exit $CLI synopsis-estimate g --store shard-syn-rot.bin
+grep -q '^error: shard-syn-rot.bin: ' shard-bad.err
+expect_clean_exit $CLI batch g --store shard-syn-rot.bin \
+  --queries shard-queries.txt
+grep -q '^error: shard-syn-rot.bin: ' shard-bad.err
+
+# out-of-range flags are refused up front
+expect_clean_exit $CLI bakeoff --runs 0
+expect_clean_exit $CLI bakeoff --level 1.5
+expect_clean_exit $CLI bakeoff --thetas 0
+expect_clean_exit $CLI estimate --left shard-left.csv --left-col k \
+  --right shard-right.csv --right-col k --theta 0
+expect_clean_exit $CLI estimate --left shard-left.csv --left-col nope \
+  --right shard-right.csv --right-col k
 
 echo "shard smoke passed"

@@ -27,6 +27,14 @@ let write_table directory name table =
   Csv_io.write path table;
   Printf.printf "wrote %s (%d rows)\n%!" path (Table.cardinality table)
 
+(* The clean failure of every verb: one "error: ..." line, exit 1. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1)
+    fmt
+
 (* Every CSV the CLI reads goes through here: a malformed or unreadable
    file is a clean exit 1 with a located message, not an uncaught
    exception. *)
@@ -34,11 +42,25 @@ let read_csv path =
   match Csv_io.read_auto path with
   | table -> table
   | exception Failure msg ->
-      Printf.eprintf "error: %s: %s\n" path msg;
-      exit 1
+      fail "%s: %s" path msg
   | exception Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+      fail "%s" msg
+
+(* A flag value the library would reject with an exception: a clean
+   exit 1, worded like every other bad input. *)
+let bad_input fmt =
+  Printf.ksprintf
+    (fun msg ->
+      fail "%s" (Csdl.Fault.error_to_string (Csdl.Fault.Bad_input msg)))
+    fmt
+
+let check_theta flag theta =
+  if not (theta > 0.0 && theta <= 1.0) then
+    bad_input "%s must be in (0, 1], got %g" flag theta
+
+let check_column flag path table column =
+  if not (Schema.mem (Table.schema table) column) then
+    bad_input "%s: %s has no column %S" flag path column
 
 (* ---------------- shared arguments ---------------- *)
 
@@ -266,7 +288,7 @@ let bench_json_arg =
    caller in run order once every (possibly parallel) run has finished. *)
 let guarded_run ~obs ~theta ~pred_left ~pred_right ~seed profile i =
   let prng = Prng.create_keyed ~seed (Printf.sprintf "estimate/run=%d" i) in
-  Repro_robustness.Guarded.estimate ~obs ~pred_a:pred_left ~pred_b:pred_right
+  Repro_baselines.Guarded.estimate ~obs ~pred_a:pred_left ~pred_b:pred_right
     ~theta profile prng
 
 (* What one estimation run contributes to the provenance artifact, on top
@@ -291,7 +313,10 @@ let estimate left left_col right right_col theta approach runs exact guarded
     | Some file -> Obs.create ~sink:(Repro_obs.Trace.file file) ()
   in
   Obs.count obs "estimate.downgrades.total" 0;
+  check_theta "--theta" theta;
   let table_a = read_csv left and table_b = read_csv right in
+  check_column "--left-col" left table_a left_col;
+  check_column "--right-col" right table_b right_col;
   let profile = Csdl.Profile.of_tables table_a left_col table_b right_col in
   Printf.printf "|A| = %d, |B| = %d, shared join values = %d, jvd = %.6f\n"
     profile.Csdl.Profile.a.Csdl.Profile.cardinality
@@ -319,8 +344,7 @@ let estimate left left_col right right_col theta approach runs exact guarded
           (fun i (outcome, span) ->
             match outcome with
             | Error fault ->
-                Printf.eprintf "error: %s\n" (Csdl.Fault.error_to_string fault);
-                exit 1
+                fail "%s" (Csdl.Fault.error_to_string fault)
             | Ok g ->
                 Printf.printf "run %d: %.1f via %s%s\n" (i + 1)
                   g.Csdl.Estimator.value g.Csdl.Estimator.rung
@@ -491,15 +515,14 @@ let metrics scale seed runs theta =
                q.Repro_datagen.Job_workload.name i)
         in
         match
-          Repro_robustness.Guarded.estimate ~obs
+          Repro_baselines.Guarded.estimate ~obs
             ~pred_a:q.Repro_datagen.Job_workload.a.Join.predicate
             ~pred_b:q.Repro_datagen.Job_workload.b.Join.predicate ~theta
             profile prng
         with
         | Ok _ -> ()
         | Error fault ->
-            Printf.eprintf "error: %s\n" (Csdl.Fault.error_to_string fault);
-            exit 1
+            fail "%s" (Csdl.Fault.error_to_string fault)
       done)
     queries;
   Obs.set_build_info obs ~store_version:Csdl.Synopsis_store.version
@@ -524,6 +547,10 @@ let metrics_cmd =
 (* ---------------- bakeoff ---------------- *)
 
 let bakeoff scale seed runs thetas level jobs bench_json =
+  if runs < 1 then bad_input "--runs must be >= 1, got %d" runs;
+  if not (level > 0.0 && level < 1.0) then
+    bad_input "--level must be in (0, 1), got %g" level;
+  List.iter (check_theta "--thetas") thetas;
   let jobs = if jobs = 0 then Pool.default_jobs () else max 1 jobs in
   let prov =
     if Option.is_some bench_json then Provenance.create ()
@@ -725,8 +752,7 @@ let load_store_or_exit store =
   match Csdl.Store.load_result ~resolve_table:Csv_io.read_auto store with
   | Ok s -> s
   | Error fault ->
-      Printf.eprintf "error: %s: %s\n" store (Csdl.Fault.error_to_string fault);
-      exit 1
+      fail "%s: %s" store (Csdl.Fault.error_to_string fault)
 
 let require_key s store key =
   if not (Csdl.Store.mem s key) then begin
@@ -839,9 +865,7 @@ let synopsis_delta key store insert_left insert_right delete_left delete_right
     with
     | Ok entries -> entries
     | Error fault ->
-        Printf.eprintf "error: %s: %s\n" store
-          (Csdl.Fault.error_to_string fault);
-        exit 1
+        fail "%s: %s" store (Csdl.Fault.error_to_string fault)
   in
   let entry =
     match
@@ -929,8 +953,7 @@ let synopsis_delta key store insert_left insert_right delete_left delete_right
   let dirty, span =
     try Clock.time (fun () -> Csdl.Synopsis_shard.apply_delta sharded delta)
     with Invalid_argument msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+      fail "%s" msg
   in
   let post = Csdl.Synopsis_shard.profile sharded in
   let table_a = post.Csdl.Profile.a.Csdl.Profile.table
@@ -1038,8 +1061,7 @@ let batch key store queries_file trace bench_json =
   in
   match Repro_benchlib.Batch.parse_queries contents with
   | Error e ->
-      Printf.eprintf "error: %s: %s\n" queries_file e;
-      exit 1
+      fail "%s: %s" queries_file e
   | Ok queries ->
       let prov = Provenance.create () in
       let rows =
@@ -1181,8 +1203,7 @@ let trace_report file folded access_log =
     | Some path -> (
         match Repro_obs.Access_log.read_file path with
         | Error e ->
-            Printf.eprintf "error: %s: %s\n" path e;
-            exit 1
+            fail "%s: %s" path e
         | Ok records ->
             report_request_join records
               (Report.forest reading.Report.spans))
@@ -1473,8 +1494,7 @@ let serve_run store host port jobs queue_capacity queue_policy deadline
       ~resolve_table:Csv_io.read_auto ~store_path:store
   with
   | Error fault ->
-      Printf.eprintf "error: %s: %s\n" store (Csdl.Fault.error_to_string fault);
-      exit 1
+      fail "%s: %s" store (Csdl.Fault.error_to_string fault)
   | Ok engine ->
       let log =
         Option.map
@@ -1609,16 +1629,21 @@ let client_run_queries c ~key ~deadline_s contents =
                incr failures;
                Printf.printf "%s: shed (retry_after %gs)\n" id retry
            | Ok (Protocol.R_err e) ->
-               Printf.eprintf "error: %s: %s\n" id e;
-               exit 1
+               fail "%s: %s" id e
            | Error e ->
-               Printf.eprintf "error: %s: bad reply: %s\n" id e;
-               exit 1
+               fail "%s: bad reply: %s" id e
          end);
   !failures
 
 let client_run host port verb queries key deadline_s where_left where_right =
-  let c = Server_client.connect ~host ~port () in
+  let c =
+    match Server_client.connect ~host ~port () with
+    | c -> c
+    | exception (Unix.Unix_error (e, _, _)) ->
+        fail "cannot connect to %s:%d: %s" host port (Unix.error_message e)
+    | exception Failure msg ->
+        fail "cannot connect to %s:%d: %s" host port msg
+  in
   Fun.protect
     ~finally:(fun () -> Server_client.close c)
     (fun () ->
@@ -1629,19 +1654,16 @@ let client_run host port verb queries key deadline_s where_left where_right =
               match Server_client.metrics c with
               | Ok body -> print_string body
               | Error e ->
-                  Printf.eprintf "error: %s\n" e;
-                  exit 1)
+                  fail "%s" e)
           | "health" | "ready" | "keys" | "slo" ->
               print_endline (Server_client.raw c v)
           | "reload" -> (
               match Server_client.reload c with
               | Ok line -> print_endline line
               | Error e ->
-                  Printf.eprintf "error: %s\n" e;
-                  exit 1)
+                  fail "%s" e)
           | v ->
-              Printf.eprintf "error: unknown verb %S\n" v;
-              exit 1)
+              fail "unknown verb %S" v)
       | None, Some qfile, Some key ->
           let contents =
             let ic = open_in_bin qfile in
@@ -1671,11 +1693,9 @@ let client_run host port verb queries key deadline_s where_left where_right =
           | Ok (Protocol.R_shed retry) ->
               Printf.printf "shed (retry_after %gs)\n" retry
           | Ok (Protocol.R_err e) ->
-              Printf.eprintf "error: %s\n" e;
-              exit 1
+              fail "%s" e
           | Error e ->
-              Printf.eprintf "error: bad reply: %s\n" e;
-              exit 1)
+              fail "bad reply: %s" e)
       | None, _, None ->
           Printf.eprintf
             "error: need --key (with optional --queries) or --verb\n";

@@ -8,6 +8,7 @@ type t = {
   offline_wall_seconds : float;
   synopsis_tuples : float;
   estimate : Prng.t -> float;
+  deterministic : bool;
   estimate_with_variance : (Prng.t -> float * float) option;
 }
 
@@ -79,32 +80,40 @@ let csdl ?spec ~theta ~pred_a ~pred_b profile =
     offline_wall_seconds = span.Clock.wall_seconds;
     synopsis_tuples = (Csdl.Estimator.resolved est).Csdl.Budget.expected_size;
     estimate;
+    deterministic = false;
     estimate_with_variance = Some estimate_with_variance;
   }
 
 let expected_budget ~theta profile =
   theta *. float_of_int profile.Csdl.Profile.total_rows
 
-let independent ~theta ~pred_a ~pred_b profile =
-  let est, span = Clock.time (fun () -> Independent.prepare ~theta profile) in
+(* Every adapter but CSDL: no analytic variance. *)
+let baseline ~name ~offline_wall_seconds ~synopsis_tuples estimate =
   {
-    name = Independent.name;
-    offline_wall_seconds = span.Clock.wall_seconds;
-    synopsis_tuples = expected_budget ~theta profile;
-    estimate =
-      (fun prng -> Independent.estimate_once ~pred_a ~pred_b est prng);
+    name;
+    offline_wall_seconds;
+    synopsis_tuples;
+    estimate;
+    deterministic = false;
     estimate_with_variance = None;
   }
 
+let unfiltered ~pred_a ~pred_b =
+  pred_a = Predicate.True && pred_b = Predicate.True
+
+let independent ~theta ~pred_a ~pred_b profile =
+  let est, span = Clock.time (fun () -> Independent.prepare ~theta profile) in
+  baseline ~name:Independent.name
+    ~offline_wall_seconds:span.Clock.wall_seconds
+    ~synopsis_tuples:(expected_budget ~theta profile) (fun prng ->
+      Independent.estimate_once ~pred_a ~pred_b est prng)
+
 let end_biased ~theta ~pred_a ~pred_b profile =
   let est, span = Clock.time (fun () -> End_biased.prepare ~theta profile) in
-  {
-    name = End_biased.name;
-    offline_wall_seconds = span.Clock.wall_seconds;
-    synopsis_tuples = expected_budget ~theta profile;
-    estimate = (fun prng -> End_biased.estimate_once ~pred_a ~pred_b est prng);
-    estimate_with_variance = None;
-  }
+  baseline ~name:End_biased.name
+    ~offline_wall_seconds:span.Clock.wall_seconds
+    ~synopsis_tuples:(expected_budget ~theta profile) (fun prng ->
+      End_biased.estimate_once ~pred_a ~pred_b est prng)
 
 let join_synopsis ~theta ~pred_a ~pred_b profile =
   match Clock.time (fun () -> Join_synopsis.prepare ~theta profile) with
@@ -115,59 +124,56 @@ let join_synopsis ~theta ~pred_a ~pred_b profile =
         else (pred_b, pred_a)
       in
       Some
-        {
-          name = Join_synopsis.name;
-          offline_wall_seconds = span.Clock.wall_seconds;
-          synopsis_tuples = expected_budget ~theta profile;
-          estimate =
-            (fun prng ->
-              Join_synopsis.estimate_once ~pred_fk ~pred_pk est prng);
-          estimate_with_variance = None;
-        }
+        (baseline ~name:Join_synopsis.name
+           ~offline_wall_seconds:span.Clock.wall_seconds
+           ~synopsis_tuples:(expected_budget ~theta profile) (fun prng ->
+             Join_synopsis.estimate_once ~pred_fk ~pred_pk est prng))
 
 let wander ~theta ~pred_a ~pred_b profile =
-  let walks =
-    max 1
-      (int_of_float
-         (theta *. float_of_int profile.Csdl.Profile.total_rows))
-  in
+  let walks = max 1 (int_of_float (expected_budget ~theta profile)) in
   let est, span = Clock.time (fun () -> Wander.prepare ~walks profile) in
-  {
-    name = Wander.name;
-    offline_wall_seconds = span.Clock.wall_seconds;
-    (* wander keeps no synopsis — the walk budget is online work *)
-    synopsis_tuples = 0.0;
-    estimate = (fun prng -> Wander.estimate ~pred_a ~pred_b est prng);
-    estimate_with_variance = None;
-  }
+  (* wander keeps no synopsis — the walk budget is online work *)
+  baseline ~name:Wander.name ~offline_wall_seconds:span.Clock.wall_seconds
+    ~synopsis_tuples:0.0 (fun prng ->
+      Wander.estimate ~pred_a ~pred_b est prng)
 
 let agms ~theta ~pred_a ~pred_b profile =
-  if pred_a <> Predicate.True || pred_b <> Predicate.True then None
+  if not (unfiltered ~pred_a ~pred_b) then None
   else
+    (* the sketch is rebuilt per run from the run's stream (the hash plan
+       is the randomness), so there is no shared offline phase to time *)
+    Some
+      (baseline ~name:Agms.name ~offline_wall_seconds:Float.nan
+         ~synopsis_tuples:(expected_budget ~theta profile) (fun prng ->
+           let plan_seed = Int64.to_int (Prng.bits64 prng) in
+           let plan = Agms.plan ~theta profile ~seed:plan_seed in
+           Agms.estimate_profile plan profile))
+
+let histogram ~theta ~pred_a ~pred_b (profile : Csdl.Profile.t) =
+  if not (unfiltered ~pred_a ~pred_b) then None
+  else
+    let buckets = Histogram.plan_buckets ~theta profile in
+    let build (side : Csdl.Profile.side) =
+      Histogram.build ~buckets side.Csdl.Profile.table side.Csdl.Profile.column
+    in
+    let value, span =
+      Clock.time (fun () ->
+          Histogram.estimate_join
+            (build profile.Csdl.Profile.a)
+            (build profile.Csdl.Profile.b))
+    in
     Some
       {
-        name = Agms.name;
-        (* the sketch is rebuilt per run from the run's stream (the hash
-           plan is the randomness), so there is no shared offline phase to
-           time *)
-        offline_wall_seconds = Float.nan;
-        synopsis_tuples = expected_budget ~theta profile;
-        estimate =
-          (fun prng ->
-            let plan_seed = Int64.to_int (Prng.bits64 prng) in
-            let plan = Agms.plan ~theta profile ~seed:plan_seed in
-            Agms.estimate_profile plan profile);
-        estimate_with_variance = None;
+        (baseline ~name:Histogram.name
+           ~offline_wall_seconds:span.Clock.wall_seconds
+           ~synopsis_tuples:(expected_budget ~theta profile) (fun _ -> value))
+        with
+        deterministic = true;
       }
 
 let independence_prior profile =
   let value, span =
     Clock.time (fun () -> Csdl.Estimator.independence_prior profile ())
   in
-  {
-    name = "indep-prior";
-    offline_wall_seconds = span.Clock.wall_seconds;
-    synopsis_tuples = 0.0;
-    estimate = (fun _ -> value);
-    estimate_with_variance = None;
-  }
+  baseline ~name:"indep-prior" ~offline_wall_seconds:span.Clock.wall_seconds
+    ~synopsis_tuples:0.0 (fun _ -> value)

@@ -12,8 +12,8 @@
     join-synopsis FK detection).
 
     Constructors returning [option] signal inapplicability: AGMS sketches
-    summarise unfiltered columns ([None] when a predicate is present),
-    join synopses exist only for PK-FK joins. *)
+    and histograms summarise unfiltered columns ([None] when a predicate
+    is present), join synopses exist only for PK-FK joins. *)
 
 open Repro_relation
 
@@ -28,6 +28,13 @@ type t = {
           methods — wander, the independence prior) *)
   estimate : Repro_util.Prng.t -> float;
       (** one seeded repetition: draw (where applicable) and answer *)
+  deterministic : bool;
+      (** declared by the histogram, whose [estimate] ignores its stream:
+          the bake-off evaluates it once, and its point interval, which
+          contains J only when the estimate is exact, counts toward no
+          coverage figure. The independence prior ignores its stream too
+          but does not declare it: it keeps its repeated evaluation and
+          its coverage-gated point interval. *)
   estimate_with_variance : (Repro_util.Prng.t -> float * float) option;
       (** single-synopsis [(estimate, analytic variance)] — correlated
           sampling only *)
@@ -85,6 +92,18 @@ val agms :
 (** [None] when either predicate is non-trivial — a sketch cannot apply
     runtime selections. Each repetition derives a fresh hash plan from the
     caller's stream. *)
+
+val histogram :
+  theta:float ->
+  pred_a:Predicate.t ->
+  pred_b:Predicate.t ->
+  Csdl.Profile.t ->
+  t option
+(** Equi-depth histograms on both join columns, {!Histogram.plan_buckets}
+    buckets each, so their stored scalars match the [theta] tuple budget.
+    Deterministic: the estimate is computed at construction and every
+    repetition returns it. [None] when either predicate is non-trivial —
+    like a sketch, a histogram summarises the unfiltered column. *)
 
 val independence_prior : Csdl.Profile.t -> t
 (** The deterministic System-R prior [|A| |B| / max(d_A, d_B)] — the

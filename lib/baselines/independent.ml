@@ -69,6 +69,3 @@ let estimate ?(pred_a = Predicate.True) ?(pred_b = Predicate.True) t synopsis =
 
 let estimate_once ?pred_a ?pred_b t prng =
   estimate ?pred_a ?pred_b t (draw t prng)
-
-let synopsis_tuples synopsis =
-  Array.length synopsis.rows_a + Array.length synopsis.rows_b

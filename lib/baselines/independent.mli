@@ -24,5 +24,4 @@ val estimate :
 val estimate_once :
   ?pred_a:Predicate.t -> ?pred_b:Predicate.t -> t -> Repro_util.Prng.t -> float
 
-val synopsis_tuples : synopsis -> int
 val name : string

@@ -73,8 +73,3 @@ let estimate ?(pred_fk = Predicate.True) ?(pred_pk = Predicate.True) t synopsis 
 
 let estimate_once ?pred_fk ?pred_pk t prng =
   estimate ?pred_fk ?pred_pk t (draw t prng)
-
-let synopsis_tuples synopsis =
-  Array.fold_left
-    (fun acc (_, partner) -> acc + 1 + match partner with Some _ -> 1 | None -> 0)
-    0 synopsis.pairs

@@ -31,5 +31,4 @@ val estimate_once :
 val fk_is_left : t -> bool
 (** Whether the profile's A side was detected as the FK side. *)
 
-val synopsis_tuples : synopsis -> int
 val name : string

@@ -12,8 +12,6 @@ let prepare ~walks profile =
   if walks < 1 then invalid_arg "Wander.prepare: walks must be >= 1";
   { profile; walks }
 
-let walks t = t.walks
-
 let estimate ?(pred_a = Predicate.True) ?(pred_b = Predicate.True) t prng =
   let a = t.profile.Csdl.Profile.a and b = t.profile.Csdl.Profile.b in
   let table_a = a.Csdl.Profile.table and table_b = b.Csdl.Profile.table in

@@ -23,5 +23,4 @@ val prepare : walks:int -> Csdl.Profile.t -> t
 val estimate :
   ?pred_a:Predicate.t -> ?pred_b:Predicate.t -> t -> Repro_util.Prng.t -> float
 
-val walks : t -> int
 val name : string

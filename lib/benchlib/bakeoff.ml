@@ -32,6 +32,7 @@ type cell = {
   synopsis_tuples : float;
   boot : Bootstrap.interval;
   boot_covered : bool;
+  deterministic : bool;
   analytic : analytic option;
 }
 
@@ -46,8 +47,8 @@ type t = { level : float; runs : int; rows : row list }
 
 (* The fixed estimator roster: every bake-off prints these columns in this
    order, [None] cells marking methods that cannot answer the query (AGMS
-   under predicates, join synopses on many-to-many joins). Labels equal
-   each adapter's [name] — asserted during reassembly. *)
+   and histograms under predicates, join synopses on many-to-many joins).
+   Labels equal each adapter's [name] — asserted during reassembly. *)
 let roster :
     (string
     * (theta:float ->
@@ -75,6 +76,7 @@ let roster :
     ( "indep-prior",
       fun ~theta:_ ~pred_a:_ ~pred_b:_ profile ->
         Some (E.independence_prior profile) );
+    ("equi-depth histogram", E.histogram);
   ]
 
 let covered (iv : Bootstrap.interval) truth =
@@ -99,23 +101,30 @@ let cell_task ~seed ~runs ~level (q : Job.query) ~profile ~jvd ~truth ~theta
         Printf.sprintf "bakeoff/%s/%s/theta=%g/%s" q.Job.name label theta tag
       in
       let run_key i = key (Printf.sprintf "run=%d" i) in
-      let estimates = Array.make runs Float.nan in
-      let walls = Array.make runs 0.0 in
-      let cpus = Array.make runs 0.0 in
-      for i = 0 to runs - 1 do
+      (* a declared-deterministic method's one evaluation is every
+         repetition's value, and bootstrapping that one value gives the
+         interval [runs] copies of it would *)
+      let evaluated = if est.E.deterministic then 1 else runs in
+      let measured = Array.make evaluated Float.nan in
+      let walls = Array.make evaluated 0.0 in
+      let cpus = Array.make evaluated 0.0 in
+      for i = 0 to evaluated - 1 do
         let prng = Prng.create_keyed ~seed (run_key i) in
         let v, span = Clock.time (fun () -> est.E.estimate prng) in
-        estimates.(i) <- v;
+        measured.(i) <- v;
         walls.(i) <- span.Clock.wall_seconds;
         cpus.(i) <- span.Clock.cpu_seconds
       done;
+      let estimates =
+        if evaluated = runs then measured else Array.make runs measured.(0)
+      in
       let qerrors =
         Array.map (fun e -> Qerror.compute ~truth ~estimate:e) estimates
       in
       let boot =
         Bootstrap.median_interval ~level
           (Prng.create_keyed ~seed (key "bootstrap"))
-          estimates
+          measured
       in
       let analytic =
         match est.E.estimate_with_variance with
@@ -153,6 +162,7 @@ let cell_task ~seed ~runs ~level (q : Job.query) ~profile ~jvd ~truth ~theta
           synopsis_tuples = est.E.synopsis_tuples;
           boot;
           boot_covered = covered boot truth;
+          deterministic = est.E.deterministic;
           analytic;
         }
 
@@ -231,6 +241,10 @@ let run ?(level = 0.95) ?thetas (config : Config.t) data =
 
 let flag b = if b then 1.0 else 0.0
 
+(* Whether the cell's bootstrap interval counts toward coverage: not for a
+   declared-deterministic method, whose interval is its one value. *)
+let boot_coverage c = if c.deterministic then None else Some c.boot_covered
+
 let record_cells prov t =
   List.iter
     (fun row ->
@@ -258,7 +272,8 @@ let record_cells prov t =
                   offline_wall_seconds = c.offline_wall_seconds;
                   ci_lower = c.boot.Bootstrap.lower;
                   ci_upper = c.boot.Bootstrap.upper;
-                  ci_covered = flag c.boot_covered;
+                  ci_covered =
+                    Option.fold ~none:Float.nan ~some:flag (boot_coverage c);
                   variance =
                     (match c.analytic with
                     | Some a -> a.an_variance
@@ -408,7 +423,7 @@ let print t =
                    label;
                    string_of_int (List.length cells);
                    Render.qerror_cell (Summary.median qerrors);
-                   coverage (List.map (fun c -> c.boot_covered) cells);
+                   coverage (List.filter_map boot_coverage cells);
                    coverage
                      (List.filter_map
                         (fun c ->

@@ -45,6 +45,10 @@ type cell = {
   boot : Repro_stats.Bootstrap.interval;
       (** percentile bootstrap on the median of the [runs] estimates *)
   boot_covered : bool;
+  deterministic : bool;
+      (** from {!Repro_baselines.Estimator_intf.t.deterministic}: one
+          evaluation stands for all [runs], and the cell counts toward no
+          coverage figure (table [n/a], artifact [ci_covered] NaN) *)
   analytic : analytic option;  (** correlated-sampling cells only *)
 }
 
@@ -68,7 +72,7 @@ val roster :
   list
 (** The fixed estimator columns, in print order: CSDL-Opt, CSDL(1,diff),
     CSDL(t,diff), CS2L, independent, end-biased, join synopsis, wander join, AGMS
-    sketch, indep-prior. *)
+    sketch, indep-prior, equi-depth histogram. *)
 
 val run : ?level:float -> ?thetas:float list -> Config.t -> Repro_datagen.Imdb.t -> t
 (** Drive the grid: [Config.runs] repetitions per cell at each θ (default
@@ -77,7 +81,8 @@ val run : ?level:float -> ?thetas:float list -> Config.t -> Repro_datagen.Imdb.t
 
 val record_cells : Provenance.collector -> t -> unit
 (** Emit one ["bakeoff"] record per answered cell (bootstrap CI in the
-    [ci_*] fields, analytic variance in [variance]) plus one
+    [ci_*] fields, [ci_covered] NaN for a deterministic cell; analytic
+    variance in [variance]) plus one
     ["bakeoff-analytic"] record per correlated-sampling cell carrying the
     single-synopsis interval — separate groups, so the artifact reports
     both coverage kinds. Deterministic insertion order. *)

@@ -63,6 +63,11 @@ let config_valid config =
   0.0 < config.d /. 2.0 && config.d /. 2.0 < config.e && config.e < config.d
   && config.d < 0.1
 
+let check_config config =
+  if config_valid config then Ok ()
+  else
+    Error (Fault.Bad_input "discrete learning config: need 0 < D/2 < E < D < 0.1")
+
 (* Algorithm 1 on a validated, non-empty fingerprint. When the LP layer
    fails, returns the empirical-fallback shape (count classes use j/n)
    together with the typed LP error so checked callers can refuse it. *)
@@ -130,22 +135,20 @@ let learn ?(obs = Obs.null) ?(config = default_config) counts =
   else fst (learn_core ~obs config fingerprint n)
 
 let learn_checked ?(obs = Obs.null) ?(config = default_config) counts =
-  if not (config_valid config) then
-    Error (Fault.Bad_input "discrete learning config: need 0 < D/2 < E < D < 0.1")
-  else
-    match Array.find_opt (fun c -> not (Float.is_finite c)) counts with
-    | Some bad ->
-        Error (Fault.Numeric { what = "discrete-learning count"; value = bad })
-    | None ->
-        let fingerprint = Fingerprint.of_float_counts (Array.to_seq counts) in
-        let n = Fingerprint.sample_size fingerprint in
-        if n <= 0.0 then
-          Error (Fault.Bad_input "discrete learning: empty or all-zero counts")
-        else begin
-          match learn_core ~obs config fingerprint n with
-          | t, None -> Ok t
-          | _, Some lp_error -> Error (Fault.of_l1_error lp_error)
-        end
+  Result.bind (check_config config) @@ fun () ->
+  match Array.find_opt (fun c -> not (Float.is_finite c)) counts with
+  | Some bad ->
+      Error (Fault.Numeric { what = "discrete-learning count"; value = bad })
+  | None ->
+      let fingerprint = Fingerprint.of_float_counts (Array.to_seq counts) in
+      let n = Fingerprint.sample_size fingerprint in
+      if n <= 0.0 then
+        Error (Fault.Bad_input "discrete learning: empty or all-zero counts")
+      else begin
+        match learn_core ~obs config fingerprint n with
+        | t, None -> Ok t
+        | _, Some lp_error -> Error (Fault.of_l1_error lp_error)
+      end
 
 let probability_of_count t j =
   if j <= 0.0 || t.n <= 0.0 then 0.0

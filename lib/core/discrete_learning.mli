@@ -28,6 +28,10 @@ type config = {
 val default_config : config
 (** [{ d = 0.08; e = 0.05; linear_grid_points = 400; geometric_ratio = 1.05 }] *)
 
+val check_config : config -> (unit, Fault.error) result
+(** [Error (Bad_input _)] unless [0 < D/2 < E < D < 0.1] — the check
+    {!learn_checked} makes first. *)
+
 type t
 
 val learn : ?obs:Repro_obs.Obs.ctx -> ?config:config -> float array -> t

@@ -335,19 +335,24 @@ let run_flat ?(obs = Obs.null) ?dl_config ?(virtual_sample = true)
 
 let run_checked_flat ?(obs = Obs.null) ?dl_config ?(virtual_sample = true)
     ?(pred_a = Predicate.True) ?(pred_b = Predicate.True) (flat : Flat.t) =
-  match flat.Flat.verdict with
-  | Some fault -> Error fault
-  | None -> (
+  let config = Option.value dl_config ~default:Discrete_learning.default_config in
+  match (flat.Flat.verdict, Discrete_learning.check_config config) with
+  | Some fault, _ | None, Error fault -> Error fault
+  | None, Ok () -> (
       let learner_fault = ref None in
       let learn counts =
-        match
-          Discrete_learning.learn_checked ~obs ?config:dl_config counts
-        with
-        | Ok t -> t
-        | Error fault ->
-            if !learner_fault = None then learner_fault := Some fault;
-            (* neutral placeholder; the recorded fault discards the result *)
-            Discrete_learning.learn counts
+        if Array.length counts = 0 then
+          (* Only sentries survived the first-side filter: no evidence, not
+             a fault. The degenerate learner gives every x_v = 0, exactly as
+             in [run_flat]. *)
+          Discrete_learning.learn ~obs ~config counts
+        else
+          match Discrete_learning.learn_checked ~obs ~config counts with
+          | Ok t -> t
+          | Error fault ->
+              if !learner_fault = None then learner_fault := Some fault;
+              (* neutral placeholder; the recorded fault discards the result *)
+              Discrete_learning.learn counts
       in
       match
         breakdown_with ~obs ~learn ~virtual_sample ~pred_a ~pred_b flat

@@ -72,9 +72,12 @@ val run_checked_flat :
     Structural validation (finite [N'], finite positive stored rates,
     semijoin side referencing only first-side values) is the memoized
     {!Synopsis_flat.t.verdict} computed when the view was built — once per
-    load, not once per query. Empty filtered samples come back as
-    [Error (Empty_filtered_sample _)] instead of a silent [0.],
-    discrete-learning failures via {!Discrete_learning.learn_checked}, and
-    a non-finite or negative final estimate as [Error (Numeric _)]. Any
+    load, not once per query. An invalid [dl_config] is refused up front
+    by {!Discrete_learning.check_config}, whatever the predicates. Empty
+    filtered samples come back as [Error (Empty_filtered_sample _)]
+    instead of a silent [0.], discrete-learning failures via
+    {!Discrete_learning.learn_checked} (an empty learner input — only
+    sentries passed the first-side filter — is no evidence rather than a
+    failure, answered bit for bit like {!run_flat}), and a non-finite or negative final estimate as [Error (Numeric _)]. Any
     stray exception out of a structurally corrupt synopsis is caught and
     returned as [Error (Corrupt_synopsis _)]. Never raises. *)

@@ -38,14 +38,12 @@ let estimate_once ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t prng =
   let synopsis = draw ?obs t prng in
   estimate ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t synopsis
 
-let estimate_checked ?obs ?dl_config ?virtual_sample ?(pred_a = Predicate.True)
+let estimate_checked ?obs ?dl_config ?(pred_a = Predicate.True)
     ?(pred_b = Predicate.True) t synopsis =
   let pred_a, pred_b = if t.swapped then (pred_b, pred_a) else (pred_a, pred_b) in
   match Synopsis_flat.of_synopsis synopsis with
   | exception exn -> Error (Fault.Corrupt_synopsis (Printexc.to_string exn))
-  | flat ->
-      Estimate.run_checked_flat ?obs ?dl_config ?virtual_sample ~pred_a
-        ~pred_b flat
+  | flat -> Estimate.run_checked_flat ?obs ?dl_config ~pred_a ~pred_b flat
 
 let swapped t = t.swapped
 let spec t = t.spec
@@ -62,9 +60,7 @@ type guarded = {
 }
 
 (* The coarsest prior that needs no sampling at all: the System-R style
-   independence assumption |A| * |B| / max(d_A, d_B). Used as the default
-   final rung; callers with a budget for it can supply the sampling
-   independence baseline (lib/baselines/independent.ml) instead. *)
+   independence assumption |A| * |B| / max(d_A, d_B). *)
 let independence_prior (profile : Profile.t) () =
   let a = profile.Profile.a and b = profile.Profile.b in
   let d = max a.Profile.distinct b.Profile.distinct in
@@ -102,9 +98,9 @@ let cascade_specs =
     scaling_spec;
   ]
 
-let estimate_guarded ?(obs = Obs.null) ?dl_config ?virtual_sample ?pred_a
-    ?pred_b ?sample_first ?draw:(draw_fn = fun t prng -> draw ~obs t prng)
-    ?fallback ~theta profile prng =
+let estimate_guarded ?(obs = Obs.null) ?dl_config ?pred_a ?pred_b
+    ?draw:(draw_fn = fun t prng -> draw ~obs t prng) ~fallback ~theta profile
+    prng =
   if not (Float.is_finite theta) || theta <= 0.0 || theta > 1.0 then
     Error (Fault.Bad_input "estimate_guarded: theta must be in (0, 1]")
   else begin
@@ -126,10 +122,9 @@ let estimate_guarded ?(obs = Obs.null) ?dl_config ?virtual_sample ?pred_a
     let attempt spec =
       let rung = Spec.to_string spec in
       match
-        let t = prepare ?sample_first spec ~theta profile in
+        let t = prepare spec ~theta profile in
         let synopsis = draw_fn t prng in
-        estimate_checked ~obs ?dl_config ?virtual_sample ?pred_a ?pred_b t
-          synopsis
+        estimate_checked ~obs ?dl_config ?pred_a ?pred_b t synopsis
       with
       | Ok breakdown -> Some (rung, breakdown.Estimate.estimate)
       | Error fault ->
@@ -150,11 +145,7 @@ let estimate_guarded ?(obs = Obs.null) ?dl_config ?virtual_sample ?pred_a
       match first_rung cascade_specs with
       | Some answer -> Some answer
       | None -> (
-          let rung, thunk =
-            match fallback with
-            | Some (name, thunk) -> (name, thunk)
-            | None -> ("independence", independence_prior profile)
-          in
+          let rung, thunk = fallback in
           match thunk () with
           | value when Float.is_finite value -> Some (rung, value)
           | value ->

@@ -61,7 +61,7 @@ type guarded = {
 
 val independence_prior : Profile.t -> unit -> float
 (** The sampling-free System-R independence prior
-    [|A| * |B| / max(d_A, d_B)] — the default final cascade rung. *)
+    [|A| * |B| / max(d_A, d_B)]. *)
 
 val scaling_spec : Spec.t
 (** The cascade's LP-free rung: sentry-backed simple scaling with constant
@@ -70,24 +70,22 @@ val scaling_spec : Spec.t
 val estimate_guarded :
   ?obs:Repro_obs.Obs.ctx ->
   ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
   ?pred_a:Predicate.t ->
   ?pred_b:Predicate.t ->
-  ?sample_first:sample_first ->
   ?draw:(t -> Repro_util.Prng.t -> Synopsis.t) ->
-  ?fallback:string * (unit -> float) ->
+  fallback:string * (unit -> float) ->
   theta:float ->
   Profile.t ->
   Repro_util.Prng.t ->
   (guarded, Fault.error) result
 (** Fault-tolerant estimation: run the degradation cascade
-    CSDL(theta,diff) -> CSDL(1,diff) -> simple scaling -> [fallback]
-    (default {!independence_prior}), downgrading one rung whenever the
-    current one returns a typed error, raises, or yields a non-finite or
-    negative estimate. Each downgrade is recorded in the trace; the final
-    answer is clamped to [0, |A| * |B|]. [draw] overrides synopsis drawing
-    (the fault-injection harness corrupts synopses through it); [fallback]
-    is [(rung_name, thunk)] — lib/robustness wires the sampling
+    CSDL(theta,diff) -> CSDL(1,diff) -> simple scaling -> [fallback],
+    downgrading one rung whenever the current one returns a typed error,
+    raises, or yields a non-finite or negative estimate. Each downgrade
+    is recorded in the trace; the final answer is clamped to
+    [0, |A| * |B|]. [draw] overrides synopsis drawing (the fault-injection
+    harness corrupts synopses through it); [fallback] is
+    [(rung_name, thunk)] — [Repro_baselines.Guarded] wires the sampling
     independence baseline here. The only [Error _] is
     [Bad_input] for a theta outside (0, 1]; anything downstream degrades
     instead of escaping, so callers always get a finite non-negative

@@ -4,7 +4,7 @@ module Prng = Repro_util.Prng
 module Obs = Repro_obs.Obs
 module Cache = Csdl.Synopsis_cache
 module Fault = Csdl.Fault
-module Fault_injection = Repro_robustness.Fault_injection
+module Fault_injection = Repro_baselines.Fault_injection
 
 type config = {
   cache_capacity : int;

@@ -25,7 +25,7 @@
     Chaos mode ([config.chaos] > 0) corrupts that fraction of store
     {e loads} (not requests — a cached synopsis is not re-corrupted),
     choosing per load between a hard failure (exercises retry + breaker)
-    and a silent {!Repro_robustness.Fault_injection} corruption that the
+    and a silent {!Repro_baselines.Fault_injection} corruption that the
     checked estimator must catch (exercises the ladder). Injection is
     keyed PRNG-driven: same seed, same store, same corruption sequence. *)
 

@@ -232,6 +232,36 @@ let test_bakeoff_records_both_experiments () =
         (Float.is_nan r.Provenance.ci_lower))
     (by_exp "bakeoff")
 
+(* The histogram declares itself deterministic: its point interval makes
+   no coverage claim, so its artifact group reports no coverage and the
+   --min-ci-coverage floor skips it. The independence prior, deterministic
+   too but undeclared, keeps a coverage figure and stays gated. *)
+let test_bakeoff_deterministic_coverage () =
+  let prov = Provenance.create () in
+  let config = tiny_config ~jobs:2 prov in
+  let data =
+    Repro_datagen.Imdb.generate ~scale:config.Config.imdb_scale
+      ~seed:config.Config.seed ()
+  in
+  Bakeoff.record_cells prov (Bakeoff.run ~thetas:config.Config.thetas config data);
+  let summaries =
+    Provenance.summarise
+      (List.filter
+         (fun r -> r.Provenance.experiment = "bakeoff")
+         (Provenance.records prov))
+  in
+  let coverage variant =
+    match
+      List.find_opt (fun s -> s.Provenance.s_variant = variant) summaries
+    with
+    | Some s -> s.Provenance.ci_coverage
+    | None -> Alcotest.failf "no %s cells" variant
+  in
+  Alcotest.(check bool) "histogram reports no coverage" true
+    (Float.is_nan (coverage "equi-depth histogram"));
+  Alcotest.(check bool) "indep-prior reports coverage" false
+    (Float.is_nan (coverage "indep-prior"))
+
 let () =
   Alcotest.run "repro_bakeoff"
     [
@@ -257,5 +287,7 @@ let () =
           Alcotest.test_case "cells coherent" `Slow test_bakeoff_cells_coherent;
           Alcotest.test_case "records both experiments" `Slow
             test_bakeoff_records_both_experiments;
+          Alcotest.test_case "deterministic coverage" `Slow
+            test_bakeoff_deterministic_coverage;
         ] );
     ]

@@ -386,6 +386,9 @@ let test_intf_empty_join () =
         profile;
       Estimator_intf.wander ~theta:1.0 ~pred_a:pred_none ~pred_b:pred_none
         profile;
+      Option.get
+        (Estimator_intf.histogram ~theta:1.0 ~pred_a:pred_none
+           ~pred_b:pred_none profile);
     ]
   in
   List.iter
@@ -456,6 +459,24 @@ let test_intf_agms_applicability () =
    with
   | Some _ -> Alcotest.fail "AGMS must refuse predicates"
   | None -> ());
+  (* histograms summarise unfiltered columns too *)
+  (match
+     Estimator_intf.histogram ~theta:0.5 ~pred_a:pred_none
+       ~pred_b:pred_reject_all profile
+   with
+  | Some _ -> Alcotest.fail "histogram must refuse predicates"
+  | None -> ());
+  (match
+     Estimator_intf.histogram ~theta:0.5 ~pred_a:pred_none ~pred_b:pred_none
+       profile
+   with
+  | None -> Alcotest.fail "histogram must accept the unfiltered join"
+  | Some est ->
+      Alcotest.(check bool) "histogram is deterministic" true
+        est.Estimator_intf.deterministic;
+      check_exact_each_seed ~label:"intf histogram repeats"
+        ~truth:(est.Estimator_intf.estimate (Prng.create 0))
+        est);
   match
     Estimator_intf.agms ~theta:0.8 ~pred_a:pred_none ~pred_b:pred_none profile
   with

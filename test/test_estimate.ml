@@ -286,6 +286,61 @@ let test_breakdown_fields () =
   Alcotest.(check bool) "estimate matches run" true
     (Csdl.Estimate.run_flat flat = b.Csdl.Estimate.estimate)
 
+(* A predicate passing exactly one first-side tuple: the sentry of the
+   sampled value [v]. The discrete learner then has no input (no
+   second-level tuple survives), which is "no evidence", not a fault. *)
+let sentry_only_predicate (sample : Csdl.Sample.t) v =
+  match Value.Tbl.find_opt sample.Csdl.Sample.entries (Value.Int v) with
+  | Some { Csdl.Sample.sentry_row = Some row; _ } ->
+      let table = sample.Csdl.Sample.table in
+      let tag = (Table.row table row).(Table.column_index table "tag") in
+      Predicate.Compare (Predicate.Eq, "tag", tag)
+  | _ -> Alcotest.failf "value %d has no sentry in the sample" v
+
+let test_checked_sentry_only_matches_run_flat () =
+  let est =
+    Csdl.Estimator.prepare ~sample_first:`A
+      (Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff)
+      ~theta:1.0 (Lazy.force profile_ab)
+  in
+  let synopsis = Csdl.Estimator.draw est (Prng.create 5) in
+  let pred_a = sentry_only_predicate synopsis.Csdl.Synopsis.sample_a 2 in
+  let flat = Csdl.Synopsis_flat.of_synopsis synopsis in
+  let want = Csdl.Estimate.run_flat ~pred_a flat in
+  match Csdl.Estimate.run_checked_flat ~pred_a flat with
+  | Error e ->
+      Alcotest.failf "sentry-only filter refused: %s"
+        (Csdl.Fault.error_to_string e)
+  | Ok b ->
+      Alcotest.(check int) "one filtered tuple" 1 b.Csdl.Estimate.filtered_a_tuples;
+      Alcotest.(check (float 0.0)) "empty learner input" 0.0
+        b.Csdl.Estimate.virtual_sample_size;
+      Alcotest.(check int64) "bits of run_flat"
+        (Int64.bits_of_float want)
+        (Int64.bits_of_float b.Csdl.Estimate.estimate);
+      (* the sentry's indicator joins every B tuple of value 2 *)
+      Alcotest.(check (float 0.0)) "exact at theta=1" 9.0 want
+
+(* An invalid learner config is one fault whether or not any evidence
+   reached the learner. *)
+let test_checked_bad_config_same_fault () =
+  let est =
+    Csdl.Estimator.prepare ~sample_first:`A
+      (Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff)
+      ~theta:1.0 (Lazy.force profile_ab)
+  in
+  let synopsis = Csdl.Estimator.draw est (Prng.create 5) in
+  let flat = Csdl.Synopsis_flat.of_synopsis synopsis in
+  let dl_config = { Csdl.Discrete_learning.default_config with d = 0.5 } in
+  let fault pred_a =
+    match Csdl.Estimate.run_checked_flat ~dl_config ~pred_a flat with
+    | Error e -> Csdl.Fault.error_to_string e
+    | Ok _ -> Alcotest.fail "invalid config accepted"
+  in
+  Alcotest.(check string) "same fault with and without evidence"
+    (fault Predicate.True)
+    (fault (sentry_only_predicate synopsis.Csdl.Synopsis.sample_a 2))
+
 (* ------------------------------------------------------------------ *)
 (* Degenerate stored rates                                             *)
 (* ------------------------------------------------------------------ *)
@@ -468,7 +523,13 @@ let () =
           Alcotest.test_case "m2m keeps orientation" `Quick test_m2m_does_not_swap;
         ] );
       ( "breakdown",
-        [ Alcotest.test_case "fields" `Quick test_breakdown_fields ] );
+        [
+          Alcotest.test_case "fields" `Quick test_breakdown_fields;
+          Alcotest.test_case "sentry-only filter matches run_flat" `Quick
+            test_checked_sentry_only_matches_run_flat;
+          Alcotest.test_case "bad learner config is one fault" `Quick
+            test_checked_bad_config_same_fault;
+        ] );
       ( "degenerate rates",
         [
           Alcotest.test_case "zero q_v is guarded" `Quick

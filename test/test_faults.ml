@@ -7,8 +7,8 @@
 open Repro_relation
 module Prng = Repro_util.Prng
 module Fault = Csdl.Fault
-module Fault_injection = Repro_robustness.Fault_injection
-module Guarded = Repro_robustness.Guarded
+module Fault_injection = Repro_baselines.Fault_injection
+module Guarded = Repro_baselines.Guarded
 
 let schema = Schema.make [ ("k", Schema.T_int); ("attr", Schema.T_int) ]
 
@@ -290,7 +290,7 @@ let test_guarded_rejects_bad_theta () =
     [ 0.0; -0.5; 1.5; Float.nan; Float.infinity ]
 
 let () =
-  Alcotest.run "repro_robustness"
+  Alcotest.run "faults"
     [
       ( "fault matrix",
         [

@@ -462,6 +462,62 @@ let test_engine_answers_match_batch_path () =
       | Engine.Answered v -> Alcotest.(check (float 0.0)) "swapped zero" 0.0 v
       | o -> Alcotest.failf "expected Answered, got %s" (Engine.outcome_class o))
 
+(* A first-side predicate passing only one value's sentry tuple leaves
+   the discrete learner without input. Batch answers that from the sentry
+   indicators; the daemon must answer the same bits, not degrade to the
+   independence prior. *)
+let test_engine_sentry_only_filter_matches_batch () =
+  let store = Csdl.Store.create () in
+  let estimator =
+    Csdl.Estimator.prepare
+      (Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff)
+      ~theta:1.0
+      (Csdl.Profile.of_tables (resolve_table "a") "k" (resolve_table "b") "k")
+  in
+  let synopsis = Csdl.Estimator.draw estimator (Prng.create 7) in
+  Csdl.Store.add store ~key:"a-b" ~table_a:"a" ~table_b:"b" estimator synopsis;
+  let pred_a =
+    let sample = synopsis.Csdl.Synopsis.sample_a in
+    match Value.Tbl.find_opt sample.Csdl.Sample.entries (Value.Int 2) with
+    | Some { Csdl.Sample.sentry_row = Some row; _ } ->
+        Predicate.And
+          ( Predicate.Compare (Predicate.Eq, "k", Value.Int 2),
+            Predicate.Compare
+              (Predicate.Eq, "attr", (Table.row (resolve_table "a") row).(1)) )
+    | _ -> Alcotest.fail "value 2 has no sentry"
+  in
+  let path = Filename.temp_file "repro-server" ".synopses" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Csdl.Store.save store path;
+      let engine = engine_exn Engine.default_config path in
+      let want = Csdl.Store.estimate store ~key:"a-b" ~pred_a in
+      match
+        Engine.handle engine ~deadline:(far_deadline Clock.wall) ~key:"a-b"
+          ~pred_a ()
+      with
+      | Engine.Answered got ->
+          Alcotest.(check int64) "bits of Store.estimate"
+            (Int64.bits_of_float want) (Int64.bits_of_float got)
+      | o -> Alcotest.failf "expected Answered, got %s" (Engine.outcome_class o))
+
+(* Engine start-up loads the store through the caller's resolver; one
+   that raises (a malformed CSV, a missing table) must come back as an
+   [Error], never an exception. *)
+let test_engine_raising_resolver_is_an_error () =
+  with_store (fun _ path ->
+      List.iter
+        (fun exn ->
+          match
+            Engine.create Engine.default_config
+              ~resolve_table:(fun _ -> raise exn)
+              ~store_path:path
+          with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "Engine.create must refuse the store")
+        [ Failure "line 3: expected 2 fields, got 1"; Not_found; Sys_error "gone" ])
+
 let test_engine_unknown_key () =
   with_store (fun _ path ->
       let engine = engine_exn Engine.default_config path in
@@ -969,6 +1025,10 @@ let () =
         [
           Alcotest.test_case "answers match the batch path" `Quick
             test_engine_answers_match_batch_path;
+          Alcotest.test_case "sentry-only filter answers like batch" `Quick
+            test_engine_sentry_only_filter_matches_batch;
+          Alcotest.test_case "raising resolver is an error" `Quick
+            test_engine_raising_resolver_is_an_error;
           Alcotest.test_case "unknown key" `Quick test_engine_unknown_key;
           Alcotest.test_case "reload swaps the snapshot" `Quick
             test_engine_reload;

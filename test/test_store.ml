@@ -438,6 +438,15 @@ let test_store_rejects_fingerprint_mismatch () =
       let resolve = function "a" -> table "fk" | name -> resolve_table name in
       expect_mismatch "fingerprint" ~resolve path)
 
+(* The store loader hands every recorded table name to a caller-supplied
+   resolver — in the CLI, a CSV reader that fails on a malformed file. A
+   resolver that raises must come back as a typed [Error]. *)
+let test_store_raising_resolver_is_an_error () =
+  with_saved_store (fun _ path ->
+      List.iter
+        (fun exn -> expect_mismatch "table" ~resolve:(fun _ -> raise exn) path)
+        [ Failure "line 3: expected 2 fields, got 1"; Not_found; Sys_error "gone" ])
+
 let test_store_load_rejects_garbage () =
   let path = Filename.temp_file "repro" ".synopses" in
   Fun.protect
@@ -641,6 +650,8 @@ let () =
           Alcotest.test_case "rejects fingerprint mismatch" `Quick
             test_store_rejects_fingerprint_mismatch;
           Alcotest.test_case "rejects garbage" `Quick test_store_load_rejects_garbage;
+          Alcotest.test_case "raising resolver is an error" `Quick
+            test_store_raising_resolver_is_an_error;
           Alcotest.test_case "replace key" `Quick test_store_replace_same_key;
           Alcotest.test_case "atomic save leaves no temp files" `Quick
             test_save_leaves_no_temp_files;
